@@ -3,8 +3,9 @@
 CPython reuses object ids the moment an object is collected, so keying a
 dict, populating a set, or comparing with ``id(x)`` is only correct while
 every keyed object is provably kept alive — an invariant refactors break
-without a test noticing (the simulator documented exactly this hazard and
-PR 5 replaced its ``id(task)`` keys with run-scoped TaskIds). This rule
+without a test noticing. The simulator once keyed per-task state by
+``id(task)``; it now carries that state with the task itself (on the queue
+entry and the event payload), so no task needs a key at all. This rule
 flags ``id(...)`` the moment its value flows somewhere key-like:
 
 * a subscript key (``d[id(x)]``), a dict-literal or dict-comprehension
@@ -73,7 +74,8 @@ class IdAsKeyRule(Rule):
                     node,
                     f"id(...) flows into {sink}: object ids are reused "
                     "after collection, so this aliases once the referent "
-                    "dies — key by a run-scoped id or by value instead",
+                    "dies — key by a stable id or by value, or keep the state "
+                    "on the object itself",
                 )
 
     def _keylike_sink(self, ctx: ModuleContext, node: ast.Call) -> str | None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.cluster import power as power_model
 from repro.cluster.config import GroupLimits
+from repro.cluster.power import FEATURE_SPEED_BOOST, UTILIZATION_EXPONENT
 from repro.cluster.sku import Sku
 from repro.cluster.software import MachineGroupKey, SoftwareConfig
 from repro.telemetry.records import MachineHourRecord, QueueStats
@@ -41,10 +42,16 @@ SSD_BASE_GB = 40.0
 
 @dataclass(slots=True)
 class QueuedTask:
-    """A container waiting in a machine's low-priority queue."""
+    """A container waiting in a machine's low-priority queue.
 
-    task: object  # repro.workload.task.Task; typed loosely to avoid a cycle
+    ``job`` is the task's :class:`~repro.workload.job.JobRuntime`: the entry
+    carries it so the simulator can resume the task without a lookup table.
+    Both are typed loosely to avoid an import cycle.
+    """
+
+    task: object
     enqueue_time: float
+    job: object = None
 
 
 class Machine:
@@ -54,6 +61,7 @@ class Machine:
         "machine_id",
         "name",
         "sku",
+        "_cores",
         "software",
         "rack",
         "chassis",
@@ -104,6 +112,9 @@ class Machine:
         self.machine_id = machine_id
         self.name = f"m{machine_id:06d}"
         self.sku = sku
+        # The SKU never changes, so its core count is read once here; the
+        # hot path divides by it on every start, finish and advance.
+        self._cores = sku.cores
         self.software = software
         self.rack = rack
         self.chassis = chassis
@@ -149,7 +160,8 @@ class Machine:
     @property
     def cpu_utilization(self) -> float:
         """Instantaneous CPU utilization in [0, 1]."""
-        return min(1.0, self.active_cores / self.sku.cores)
+        utilization = self.active_cores / self._cores
+        return utilization if utilization < 1.0 else 1.0
 
     # ------------------------------------------------------------------
     # Task-duration model
@@ -158,7 +170,7 @@ class Machine:
         """Per-core speed including SKU, Feature, and power throttling."""
         speed = self.sku.speed_factor
         if self.feature_enabled:
-            speed *= power_model.FEATURE_SPEED_BOOST
+            speed *= FEATURE_SPEED_BOOST
         speed *= power_model.throttle_factor(
             self.sku, self.cpu_utilization, self.feature_enabled, self.cap_watts
         )
@@ -179,13 +191,36 @@ class Machine:
         return 1.0 + self.software.io_contention_coeff * pressure
 
     def task_duration(self, work_seconds: float) -> float:
-        """Execution time of ``work_seconds`` of normalized work started now."""
-        utilization = self.cpu_utilization
-        speed = self.effective_speed()
-        contention = 1.0 + self.sku.contention_beta * utilization
+        """Execution time of ``work_seconds`` of normalized work started now.
+
+        The per-task hot path: utilization, speed, contention and the I/O
+        penalty are computed inline rather than through
+        :attr:`cpu_utilization`, :meth:`effective_speed` and
+        :meth:`io_penalty`, with the same operations in the same order.
+        Uncapped machines never throttle (the factor is exactly 1.0), so only
+        capped ones call :meth:`effective_speed`.
+        """
+        sku = self.sku
+        utilization = self.active_cores / self._cores
+        utilization = utilization if utilization < 1.0 else 1.0
+        if self.cap_watts is None:
+            speed = sku.speed_factor
+            if self.feature_enabled:
+                speed *= FEATURE_SPEED_BOOST
+        else:
+            speed = self.effective_speed()
+        contention = 1.0 + sku.contention_beta * utilization
+        software = self.software
+        if software.temp_store_on_ssd:
+            capacity = sku.ssd_io_mbps * 1e6
+        else:
+            capacity = sku.hdd_io_mbps * 1e6
+        io_penalty = 1.0 + software.io_contention_coeff * (
+            self.io_rate_bytes_per_s / capacity
+        )
         # ``slowdown`` is 1.0 on healthy machines; multiplying by exactly 1.0
         # is a bitwise no-op, so the no-fault path is unchanged.
-        return work_seconds / speed * contention * self.io_penalty() * self.slowdown
+        return work_seconds / speed * contention * io_penalty * self.slowdown
 
     def power_draw(self) -> float:
         """Current power draw in watts (post-capping)."""
@@ -202,12 +237,16 @@ class Machine:
         Power draw is affine in utilization when no cap is set, so for
         uncapped machines (the common case) the power integral is derived
         from the active-core integral at flush time instead of per event.
+        Runs on every start and finish, so it compares inline instead of
+        calling ``min``/``max``.
         """
         dt = now - self._last_update
         if dt <= 0.0:
-            self._last_update = max(self._last_update, now)
+            # ``now`` is not past the last update: nothing to integrate.
             return
-        self._int_active_cores += min(self.active_cores, self.sku.cores) * dt
+        active = self.active_cores
+        cores = self._cores
+        self._int_active_cores += (cores if cores < active else active) * dt
         self._int_containers += self.n_running * dt
         self._int_io_bytes += self.io_rate_bytes_per_s * dt
         self._int_ram += self.ram_gb_in_use * dt
@@ -220,9 +259,9 @@ class Machine:
             self._int_power += self.power_draw() * dt
         else:
             self._uncapped_seconds += dt
-            self._uncapped_util_pow_seconds += (
-                self.cpu_utilization**power_model.UTILIZATION_EXPONENT * dt
-            )
+            utilization = active / cores
+            utilization = utilization if utilization < 1.0 else 1.0
+            self._uncapped_util_pow_seconds += utilization**UTILIZATION_EXPONENT * dt
         if self.queue:
             self._int_queue_len += len(self.queue) * dt
         self._last_update = now
@@ -244,20 +283,22 @@ class Machine:
         """Release one container's resources and account its totals."""
         self.advance(now)
         self.n_running -= 1
-        self.active_cores = max(0.0, self.active_cores - cpu_fraction)
-        self.ram_gb_in_use = max(RAM_BASE_GB, self.ram_gb_in_use - ram_gb)
-        self.ssd_gb_in_use = max(SSD_BASE_GB, self.ssd_gb_in_use - ssd_gb)
-        self.io_rate_bytes_per_s = max(
-            0.0, self.io_rate_bytes_per_s - data_bytes / duration
-        )
+        active = self.active_cores - cpu_fraction
+        self.active_cores = active if active > 0.0 else 0.0
+        ram = self.ram_gb_in_use - ram_gb
+        self.ram_gb_in_use = ram if ram > RAM_BASE_GB else RAM_BASE_GB
+        ssd = self.ssd_gb_in_use - ssd_gb
+        self.ssd_gb_in_use = ssd if ssd > SSD_BASE_GB else SSD_BASE_GB
+        io_rate = self.io_rate_bytes_per_s - data_bytes / duration
+        self.io_rate_bytes_per_s = io_rate if io_rate > 0.0 else 0.0
         self._tasks_finished += 1
         self._cpu_seconds += cpu_fraction * duration
         self._task_seconds += duration
 
-    def enqueue(self, now: float, task: object) -> None:
-        """Queue a low-priority container on this machine."""
+    def enqueue(self, now: float, task: object, job: object = None) -> None:
+        """Queue a low-priority container (of ``job``) on this machine."""
         self.advance(now)
-        self.queue.append(QueuedTask(task=task, enqueue_time=now))
+        self.queue.append(QueuedTask(task, now, job))
         self._queue_enqueued += 1
 
     def dequeue(self, now: float) -> tuple[object, float] | None:

@@ -128,18 +128,23 @@ class YarnScheduler:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def place(self, task: Task, now: float) -> PlacementResult:
-        """Place ``task``: start it on a random free machine, else queue it."""
+    def place(self, task: Task, now: float, job: object = None) -> PlacementResult:
+        """Place ``task``: start it on a random free machine, else queue it.
+
+        A queued task's entry carries ``job`` (its
+        :class:`~repro.workload.job.JobRuntime`) for when it is dequeued.
+        """
         self.placements += 1
-        if self._available:
-            machine = self._available[self._rng.randrange(len(self._available))]
-            return PlacementResult(machine=machine, started=True, queued=False)
+        available = self._available
+        if available:
+            machine = available[self._rng.randrange(len(available))]
+            return PlacementResult(machine, True, False)
         machine = self._pick_queue_machine()
-        machine.enqueue(now, task)
+        machine.enqueue(now, task, job)
         if not machine.has_queue_space:
             self._remove_queue_space(machine)
         self.queued_placements += 1
-        return PlacementResult(machine=machine, started=False, queued=True)
+        return PlacementResult(machine, False, True)
 
     def _pick_queue_machine(self) -> Machine:
         machines = self.cluster.machines

@@ -52,11 +52,11 @@ from repro.telemetry.records import (
     TaskLog,
 )
 from repro.utils.errors import SchedulingError
-from repro.utils.rng import RngStreams, derive_seed
+from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
 from repro.workload.generator import Workload
 from repro.workload.job import JobRuntime
-from repro.workload.task import Task, TaskId, task_run_scope
+from repro.workload.task import Task
 
 __all__ = [
     "SimulationConfig",
@@ -228,7 +228,6 @@ class ClusterSimulator:
         workload: Workload,
         streams: RngStreams | None = None,
         config: SimulationConfig | None = None,
-        run_token: str | None = None,
         profile: bool | None = None,
     ):
         self.cluster = cluster
@@ -240,15 +239,6 @@ class ClusterSimulator:
         self._profiling = bool(profile)
         self.streams = streams if streams is not None else RngStreams(0)
         self.config = config if config is not None else SimulationConfig()
-        # The run-scoped task-identity token. Derived from the stream seed
-        # (itself a function of the caller's seed/workload tag), so the same
-        # simulation allocates the same task ids in any process, while two
-        # different runs — in one process or many — can never collide.
-        self.run_token = (
-            run_token
-            if run_token is not None
-            else f"run-{derive_seed(self.streams.seed, 'task-run-token'):016x}"
-        )
         self.scheduler = YarnScheduler(
             cluster, seed=self.streams.get("scheduler-seed").integers(0, 2**31).item()
         )
@@ -263,18 +253,6 @@ class ClusterSimulator:
         )
         self._sampled_machines: list[Machine] = []
         self._pending_actions: list[tuple[float, Callable[[ClusterSimulator], None]]] = []
-        # Maps task.task_id -> JobRuntime for tasks sitting in machine
-        # queues. Keyed by the run-scoped task id, not id(task): CPython
-        # reuses object ids after garbage collection, so an id() key could
-        # silently alias a finished task with a freshly allocated one — and
-        # the run token keeps identities distinct across runs and worker
-        # processes.
-        self._job_of_queued: dict[TaskId, JobRuntime] = {}
-        # Queue wait accrued on a crashed machine, keyed by task id, joined
-        # into the task's next placement so fault scenarios report
-        # end-to-end wait rather than per-placement wait. Empty on
-        # fault-free runs — _place only pays a falsy-dict check.
-        self._carried_wait: dict[TaskId, float] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -328,10 +306,6 @@ class ClusterSimulator:
         """Simulate ``duration_hours`` hours and return the collected telemetry."""
         if duration_hours <= 0:
             raise ValueError("duration_hours must be positive")
-        with task_run_scope(self.run_token):
-            return self._run(duration_hours)
-
-    def _run(self, duration_hours: float) -> SimulationResult:
         horizon = duration_hours * SECONDS_PER_HOUR
         self._push(0.0, _HOUR, 0)
         for time, action in self._pending_actions:
@@ -379,8 +353,8 @@ class ClusterSimulator:
             elif kind == _SAMPLE:
                 self._handle_sample(payload, horizon)
             elif kind == _RETRY:
-                job, task = payload
-                self._place(job, task, retried=True)
+                job, task, carried = payload
+                self._place(job, task, True, carried)
             elif kind == _CRASH:
                 self._handle_crash(payload)
             elif kind == _RECOVER:
@@ -428,14 +402,23 @@ class ClusterSimulator:
         for task in tasks:
             self._place(job, task)
 
-    def _place(self, job: JobRuntime, task: Task, retried: bool = False) -> None:
+    def _place(
+        self, job: JobRuntime, task: Task, retried: bool = False, carried: float = 0.0
+    ) -> None:
+        """Place ``task``; ``carried`` is queue wait it accrued on a crashed machine.
+
+        The carried wait travels with the task (through ``_RETRY`` payloads
+        too) and joins its next wait sample, so fault scenarios report
+        end-to-end wait rather than per-placement wait. It is 0.0 on
+        fault-free runs.
+        """
         profiling = self._profiling
         if profiling:
             profile = self.result.profile
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter()
         try:
-            placement = self.scheduler.place(task, self.now)
+            placement = self.scheduler.place(task, self.now, job)
         except SchedulingError:
             if profiling:
                 # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
@@ -446,43 +429,38 @@ class ClusterSimulator:
             # Each task counts once, however many retries it takes.
             if not retried:
                 self.result.tasks_deferred += 1
-            self._push(self.now + self.config.placement_retry_s, _RETRY, (job, task))
+            self._push(
+                self.now + self.config.placement_retry_s, _RETRY, (job, task, carried)
+            )
             return
         if profiling:
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             profile.placement_seconds += perf_counter() - tick
             profile.placements += 1
+        machine = placement.machine
         if placement.started:
-            wait = 0.0
-            if self._carried_wait:
-                wait = self._carried_wait.pop(task.task_id, 0.0)
-                if wait > 0.0:
-                    # The wait was served on a machine that died; sample it
-                    # on the machine that finally runs the task so frame
-                    # telemetry sees the end-to-end figure.
-                    placement.machine.note_carried_wait(wait)
-            self._start_on(placement.machine, job, task, queue_wait=wait)
-            self.scheduler.note_started(placement.machine)
+            if carried > 0.0:
+                # The wait was served on a machine that died; sample it on
+                # the machine that finally runs the task so frame telemetry
+                # sees the end-to-end figure.
+                machine.note_carried_wait(carried)
+            self._start_on(machine, job, task, carried)
+            self.scheduler.note_started(machine)
         else:
             self.result.tasks_queued += 1
-            if self._carried_wait:
-                carried = self._carried_wait.pop(task.task_id, 0.0)
-                if carried > 0.0:
-                    # Backdate the enqueue so the eventual dequeue reports
-                    # the joined cross-machine wait.
-                    placement.machine.queue[-1].enqueue_time -= carried
-            self._job_of_queued[task.task_id] = job
+            if carried > 0.0:
+                # Backdate the enqueue so the eventual dequeue reports the
+                # joined cross-machine wait.
+                machine.queue[-1].enqueue_time -= carried
 
     def _start_on(
         self, machine: Machine, job: JobRuntime, task: Task, queue_wait: float
     ) -> None:
+        # Positional calls on the per-task path: keyword packing costs
+        # measurably at fleet scale.
         duration = machine.start_task(
-            self.now,
-            cpu_fraction=task.cpu_fraction,
-            ram_gb=task.ram_gb,
-            ssd_gb=task.ssd_gb,
-            data_bytes=task.data_bytes,
-            work_seconds=task.work_seconds,
+            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
+            task.data_bytes, task.work_seconds,
         )
         self.result.tasks_started += 1
         log_row = -1
@@ -500,7 +478,10 @@ class ClusterSimulator:
                 queue_wait=queue_wait,
                 job_template=job.template.name,
             )
-        self._push(self.now + duration, _FINISH, _TaskRun(machine, job, task, duration, log_row))
+        heapq.heappush(self._heap, (
+            self.now + duration, _FINISH, next(self._seq),
+            _TaskRun(machine, job, task, duration, log_row),
+        ))
 
     def _handle_finish(self, run: _TaskRun) -> None:
         if run.cancelled:
@@ -509,12 +490,8 @@ class ClusterSimulator:
             return
         machine, job, task = run.machine, run.job, run.task
         machine.finish_task(
-            self.now,
-            cpu_fraction=task.cpu_fraction,
-            ram_gb=task.ram_gb,
-            ssd_gb=task.ssd_gb,
-            data_bytes=task.data_bytes,
-            duration=run.duration,
+            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
+            task.data_bytes, run.duration,
         )
         stage_done = job.on_task_finish(self.now, run.duration, run.log_row)
         if stage_done:
@@ -536,17 +513,16 @@ class ClusterSimulator:
                         is_benchmark=job.template.is_benchmark,
                     )
                 )
-        self._drain_queue(machine)
+        if machine.queue:
+            self._drain_queue(machine)
         self.scheduler.refresh_machine(machine)
 
     def _drain_queue(self, machine: Machine) -> None:
-        while machine.has_free_slot and machine.queue:
-            popped = machine.dequeue(self.now)
-            if popped is None:  # pragma: no cover - guarded by loop condition
-                break
-            task, wait = popped
-            job = self._job_of_queued.pop(task.task_id)
-            self._start_on(machine, job, task, queue_wait=wait)
+        queue = machine.queue
+        while queue and machine.has_free_slot:
+            job = queue[0].job
+            task, wait = machine.dequeue(self.now)
+            self._start_on(machine, job, task, wait)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -561,9 +537,9 @@ class ClusterSimulator:
         displaced: list[tuple[JobRuntime, Task, float]] = []
         while machine.queue:
             queued = machine.queue.popleft()
-            task = queued.task
-            job = self._job_of_queued.pop(task.task_id)
-            displaced.append((job, task, self.now - queued.enqueue_time))
+            displaced.append(
+                (queued.job, queued.task, self.now - queued.enqueue_time)
+            )
         # O(heap) scan per crash: crashes are rare events, and lazily
         # cancelling beats restructuring the heap on the hot path.
         for item in self._heap:
@@ -577,10 +553,8 @@ class ClusterSimulator:
         # refresh evicts the machine from both scheduler sets.
         self.scheduler.refresh_machine(machine)
         for job, task, waited in displaced:
-            if waited > 0.0:
-                self._carried_wait[task.task_id] = waited
             self.result.tasks_requeued += 1
-            self._place(job, task)
+            self._place(job, task, False, waited)
 
     def _handle_recover(self, machine: Machine) -> None:
         if not machine.faulted:

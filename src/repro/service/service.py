@@ -33,7 +33,6 @@ tunes queue lengths or evaluates a power-capping level.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -55,7 +54,6 @@ from repro.service.registry import FleetRegistry
 from repro.service.scenarios import Scenario, ScenarioCatalog, default_catalog
 from repro.service.store import CampaignStore
 from repro.telemetry.frame import MachineHourFrame
-from repro.telemetry.records import MachineHourRecord, QueueStats
 from repro.utils.errors import ServiceError
 from repro.utils.tables import TextTable
 
@@ -87,83 +85,14 @@ MAX_CACHE_ENTRIES = 4096
 _REQUESTS_PER_ROUND = 3
 
 
-def _deep_getsizeof(value) -> int:
-    """``sys.getsizeof`` plus the contents of plain container values.
-
-    ``sys.getsizeof`` on a list reports the list shell only — a
-    ``QueueStats.waits`` list of N floats would count as ~56 + 8N bytes when
-    the floats themselves hold another 32N. Record fields are flat data
-    (numbers, strings, short lists), so one level of list/tuple/dict
-    recursion covers every container a record actually stores.
-    """
-    total = sys.getsizeof(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        total += sum(_deep_getsizeof(item) for item in value)
-    elif isinstance(value, dict):
-        total += sum(
-            _deep_getsizeof(key) + _deep_getsizeof(item)
-            for key, item in value.items()
-        )
-    return total
-
-
-def _measured_record_bytes() -> int:
-    """Measured in-memory footprint of one machine-hour record.
-
-    Sums ``sys.getsizeof`` over a representative record and its field
-    payloads (the slotted dataclass itself, its strings, and the queue-stats
-    sub-object — container fields deep-sized, so the queue's wait samples
-    are counted, not just their list shell), so the estimate tracks the
-    real record layout instead of a hand-maintained constant.
-    """
-    probe = MachineHourRecord(
-        machine_id=0,
-        machine_name="m000000",
-        sku="Gen 1.1",
-        software="SC1",
-        rack=0,
-        row=0,
-        subcluster=0,
-        hour=0,
-        cpu_utilization=0.5,
-        avg_running_containers=4.0,
-        total_data_read_bytes=1.0e9,
-        tasks_finished=12,
-        total_cpu_seconds=1800.0,
-        total_task_seconds=3600.0,
-        avg_cores_in_use=8.0,
-        avg_ram_gb_in_use=32.0,
-        avg_ssd_gb_in_use=100.0,
-        avg_power_watts=300.0,
-        power_cap_watts=None,
-        feature_enabled=False,
-        max_running_containers=8,
-        queue=QueueStats(avg_length=0.5, enqueued=6, dequeued=6, waits=[30.0] * 6),
-    )
-    total = sys.getsizeof(probe)
-    for name in MachineHourRecord.__slots__:
-        value = getattr(probe, name)
-        if isinstance(value, QueueStats):
-            total += sys.getsizeof(value)
-            total += sum(
-                _deep_getsizeof(getattr(value, n)) for n in QueueStats.__slots__
-            )
-        else:
-            total += _deep_getsizeof(value)
-    return total
-
-
 def _measured_frame_row_bytes() -> int:
     """Measured columnar footprint of one cached machine-hour row.
 
-    Cached outcomes now carry a :class:`MachineHourFrame`, not a record
-    list: one row is a handful of fixed-width column slots plus its queue
-    waits, not a 30-field dataclass with per-field boxed objects. The
-    estimate probes a representative frame (same field values as the legacy
-    record probe) and divides its :attr:`MachineHourFrame.nbytes` across its
-    rows, so cache sizing tracks the real columnar layout — roughly an
-    order of magnitude smaller per row than the dataclass measurement,
-    which would starve the cache bound for no reason.
+    Cached outcomes carry a :class:`MachineHourFrame`: one row is a handful
+    of fixed-width column slots plus its queue waits. The estimate probes a
+    representative frame and divides its :attr:`MachineHourFrame.nbytes`
+    across its rows, so cache sizing tracks the real columnar layout
+    instead of a hand-maintained constant.
     """
     frame = MachineHourFrame()
     for machine_id in range(16):

@@ -75,18 +75,21 @@ class JobRuntime:
         work, data, ram, ssd = sample_task_params(
             op, n_tasks, rng, work_scale=spec.work_scale, data_scale=spec.data_scale
         )
+        work, data = work.tolist(), data.tolist()
+        # Check the whole stage's draws up front, with Task's own messages,
+        # so a bad stage fails before any of its tasks is built. Builtin min
+        # over the lists is cheaper than ndarray.min for a stage of a few tasks.
+        if min(work) <= 0:
+            raise ValueError("work_seconds must be positive")
+        if min(data) < 0:
+            raise ValueError("data_bytes must be non-negative")
+        cpu_fraction = op.cpu_fraction
+        if not 0.0 < cpu_fraction <= 1.0:
+            raise ValueError("cpu_fraction must be in (0, 1]")
+        job_id, stage_index, operator = self.job_id, self.current_stage, op.name
         tasks = [
-            Task(
-                job_id=self.job_id,
-                stage_index=self.current_stage,
-                operator=op.name,
-                work_seconds=float(work[i]),
-                data_bytes=float(data[i]),
-                cpu_fraction=op.cpu_fraction,
-                ram_gb=float(ram[i]),
-                ssd_gb=float(ssd[i]),
-            )
-            for i in range(n_tasks)
+            Task(job_id, stage_index, operator, w, d, cpu_fraction, r, s)
+            for w, d, r, s in zip(work, data, ram.tolist(), ssd.tolist())
         ]
         self.remaining_in_stage = n_tasks
         self.n_tasks_total += n_tasks

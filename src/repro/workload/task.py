@@ -4,82 +4,21 @@ A task is the unit the scheduler places (one task = one container, Section 2).
 Fields are plain data; all execution behaviour (duration under contention,
 throttling, I/O penalties) lives in :class:`repro.cluster.machine.Machine`.
 
-Task identities are **run-scoped**: a :class:`TaskId` pairs a run token with
-a sequence number allocated from zero inside that run's
-:func:`task_run_scope`. A bare process-monotonic counter would be enough for
-simulator-internal keying, but it is process-*relative*: two pool worker
-processes both start counting at zero, so the same sequence number names
-*different* tasks in different workers, and cross-run joins on task identity
-silently collide. With the run token derived from the simulation's inputs
-(the workload tag / seed), the same simulation allocates the same ids in any
-process, and different runs can never collide.
+Tasks carry no identity beyond their field values: the simulator keeps each
+task's job and any carried queue wait *with* the task (on its queue entry or
+event payload), so nothing ever needs a task key. Two tasks with equal
+fields compare equal.
+
+:meth:`repro.workload.job.JobRuntime.start_next_stage` validates a stage's
+sampled arrays once, so the same checks below guard only direct
+construction.
 """
 
 from __future__ import annotations
 
-import contextvars
-import itertools
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Task", "TaskId", "task_run_scope"]
-
-
-@dataclass(frozen=True, slots=True)
-class TaskId:
-    """Run-scoped task identity: (run token, sequence within the run).
-
-    Hashable and totally ordered within a run; equal across processes for
-    the same simulation (the token derives from the run's inputs, the
-    sequence from creation order, both deterministic).
-    """
-
-    run_token: str
-    seq: int
-
-
-class _TaskIdAllocator:
-    """Allocates :class:`TaskId` values for one run scope."""
-
-    __slots__ = ("run_token", "_counter")
-
-    def __init__(self, run_token: str):
-        self.run_token = run_token
-        self._counter = itertools.count()
-
-    def next_id(self) -> TaskId:
-        return TaskId(run_token=self.run_token, seq=next(self._counter))
-
-
-#: Tasks created outside any run scope (ad-hoc construction in tests or
-#: scripts) fall back to a process-local scope — the pre-run-scoped
-#: behaviour, which is fine exactly because such tasks never cross runs.
-#: A ContextVar rather than a module global: should two simulations ever
-#: run concurrently in one process (threads, async), each context keeps its
-#: own allocator instead of stamping the later scope's token on both runs.
-_allocator: contextvars.ContextVar[_TaskIdAllocator] = contextvars.ContextVar(
-    "task_id_allocator", default=_TaskIdAllocator("proc")
-)
-
-
-def _next_task_id() -> TaskId:
-    return _allocator.get().next_id()
-
-
-@contextmanager
-def task_run_scope(run_token: str):
-    """Allocate task ids under ``run_token``, sequence restarting at zero.
-
-    :meth:`repro.cluster.simulator.ClusterSimulator.run` wraps its event
-    loop in one scope per run, so every task of a simulation carries the
-    run's token. Scopes nest (the previous allocator is restored on exit)
-    and are isolated per execution context.
-    """
-    token = _allocator.set(_TaskIdAllocator(run_token))
-    try:
-        yield
-    finally:
-        _allocator.reset(token)
+__all__ = ["Task"]
 
 
 @dataclass(slots=True)
@@ -94,7 +33,6 @@ class Task:
     cpu_fraction: float
     ram_gb: float
     ssd_gb: float
-    task_id: TaskId = field(default_factory=_next_task_id, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.work_seconds <= 0:

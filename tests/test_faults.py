@@ -13,14 +13,22 @@ checkpoint → resume round trip.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import (
+    Cluster,
     ClusterSimulator,
+    GroupLimits,
+    Machine,
+    SimulationConfig,
+    YarnConfig,
     build_cluster,
     small_fleet_spec,
+    sku_by_name,
 )
+from repro.cluster.software import SC2
 from repro.core import Kea
 from repro.faults import (
     FaultInjector,
@@ -50,7 +58,7 @@ from repro.service import (
     default_catalog,
 )
 from repro.utils.rng import RngStreams
-from repro.workload import WorkloadGenerator, default_templates
+from repro.workload import Task, Workload, WorkloadGenerator, default_templates
 
 from tests.conftest import make_record
 
@@ -274,7 +282,7 @@ class TestCrashRecover:
         """A queued task displaced by a crash keeps its accrued wait: the
         fault run's telemetry reports end-to-end waits, so its total wait
         mass is no smaller than per-placement accounting could produce."""
-        _, simulator, result = run_small_sim(
+        _, _, result = run_small_sim(
             hours=5.0,
             jobs_per_hour=600.0,  # saturate: the outage displaces queued work
             actions=lambda sim: FaultInjector(
@@ -283,7 +291,6 @@ class TestCrashRecover:
         )
         assert result.tasks_requeued > 0
         assert result.tasks_queued > 0
-        assert simulator._carried_wait == {}  # every carry was consumed
         assert float(result.frame.queue_mean_wait().sum()) > 0.0
 
     def test_note_carried_wait_lands_in_the_hour_queue_stats(self):
@@ -292,6 +299,142 @@ class TestCrashRecover:
         machine.note_carried_wait(42.0)
         record = machine.flush_hour(HOUR, hour=0)
         assert record.queue.mean_wait() == pytest.approx(42.0)
+
+
+# ----------------------------------------------------------------------
+# Carried queue wait: a queued task displaced by a crash reports its
+# end-to-end wait on the machine that finally runs it
+# ----------------------------------------------------------------------
+class _StubJob:
+    """The two things the simulator asks of a job, for hand-placed tasks."""
+
+    def __init__(self, name: str):
+        self.template = SimpleNamespace(name=name)
+
+    def on_task_finish(self, finish_time, duration, log_row) -> bool:
+        return False  # the stage never completes: no follow-up tasks
+
+
+def _two_machine_simulator():
+    """Two machines, one running slot and one queue slot each, every task logged."""
+    machines = [
+        Machine(
+            machine_id=i, sku=sku_by_name("Gen 4.1"), software=SC2, rack=i,
+            chassis=i, row=0, subcluster=0, limits=GroupLimits(1, 1),
+        )
+        for i in range(2)
+    ]
+    cluster = Cluster("two", machines, YarnConfig(default_limits=GroupLimits(1, 1)))
+    simulator = ClusterSimulator(
+        cluster, Workload(), streams=RngStreams(3),
+        config=SimulationConfig(task_log_sample_rate=1.0),
+    )
+    return cluster, simulator
+
+
+def _submit(simulator, name: str, work_seconds: float) -> None:
+    """Hand one task of a stub job to the simulator's placement path."""
+    task = Task(
+        job_id=0, stage_index=0, operator="Process", work_seconds=work_seconds,
+        data_bytes=1e6, cpu_fraction=0.5, ram_gb=1.0, ssd_gb=1.0,
+    )
+    simulator._place(_StubJob(name), task)
+
+
+def _logged(result, name: str) -> tuple[float, float]:
+    """(start, queue_wait) of the one logged task of job ``name``."""
+    log = result.task_log
+    rows = [i for i, template in enumerate(log.job_template) if template == name]
+    assert len(rows) == 1
+    return log.start[rows[0]], log.queue_wait[rows[0]]
+
+
+def _hour_waits(result, machine) -> list[float]:
+    """The wait samples ``machine`` reported for hour 0."""
+    frame = result.frame
+    row = [
+        i for i in range(len(frame))
+        if frame.column("machine_id")[i] == machine.machine_id
+        and frame.column("hour")[i] == 0
+    ][0]
+    offsets = frame.wait_offsets()
+    return frame.waits_flat()[offsets[row]:offsets[row + 1]].tolist()
+
+
+class TestCarriedWait:
+    def test_displaced_task_that_starts_immediately_reports_its_accrued_wait(self):
+        cluster, simulator = _two_machine_simulator()
+        host, spare = cluster.machines
+        simulator.schedule_crash(0.0, spare)
+        simulator.schedule_recover(50.0, spare)
+
+        def submit(sim):
+            _submit(sim, "running", 1e6)  # the only free slot: the host's
+            _submit(sim, "queued", 1e6)  # the only queue space: the host's
+
+        simulator.schedule_action(10.0, submit)
+        simulator.schedule_crash(100.0, host)
+        result = simulator.run(1.0)
+        # Queued at 10 s, displaced at 100 s onto the recovered spare's free
+        # slot: 90 s accrued, no new wait.
+        assert _logged(result, "queued") == (100.0, 90.0)
+        assert 90.0 in _hour_waits(result, spare)
+
+    def test_displaced_task_that_is_requeued_reports_accrued_plus_new_wait(self):
+        cluster, simulator = _two_machine_simulator()
+
+        def submit(sim):
+            _submit(sim, "running-a", 2000.0)
+            _submit(sim, "running-b", 2000.0)
+            _submit(sim, "queued", 1e6)
+
+        def crash_the_host(sim):
+            host = next(m for m in cluster.machines if m.queue)
+            sim.schedule_crash(100.0, host)
+
+        simulator.schedule_action(10.0, submit)
+        simulator.schedule_action(20.0, crash_the_host)
+        result = simulator.run(1.0)
+        host = next(m for m in cluster.machines if m.faulted)
+        other = next(m for m in cluster.machines if m is not host)
+        # Requeued on the other machine at 100 s, behind its running task;
+        # dequeued when that task finishes.
+        start, wait = _logged(result, "queued")
+        assert start > 100.0
+        assert wait == pytest.approx(90.0 + (start - 100.0))
+        assert wait in _hour_waits(result, other)
+
+    def test_displaced_task_deferred_through_retry_keeps_its_accrued_wait(self):
+        cluster, simulator = _two_machine_simulator()
+        host = cluster.machines[0]
+
+        def submit(sim):
+            _submit(sim, "running-a", 1e6)
+            _submit(sim, "running-b", 1e6)
+            _submit(sim, "queued-a", 1e6)
+            _submit(sim, "queued-b", 1e6)
+
+        simulator.schedule_action(10.0, submit)
+        simulator.schedule_crash(100.0, host)
+        simulator.schedule_recover(130.0, host)
+        result = simulator.run(1.0)
+        # At 100 s every slot and queue is full: the host's queued task (90 s
+        # accrued) and its running task are both deferred. The first retry,
+        # at 160 s, finds the recovered host free.
+        assert result.tasks_deferred == 2
+        retried = [
+            (template, wait)
+            for template, start, wait in zip(
+                result.task_log.job_template, result.task_log.start,
+                result.task_log.queue_wait,
+            )
+            if start == 160.0
+        ]
+        assert len(retried) == 1
+        template, wait = retried[0]
+        assert template.startswith("queued")
+        assert wait == 90.0
+        assert 90.0 in _hour_waits(result, host)
 
 
 # ----------------------------------------------------------------------

@@ -455,86 +455,6 @@ class TestCacheSizing:
         with pytest.raises(ServiceError):
             derive_cache_entries(make_registry(), budget_mb=0.0)
 
-    def test_columnar_sizing_beats_legacy_record_sizing(self):
-        """Cached outcomes now carry a columnar frame, not a record list.
-        Sizing the cache off the legacy dataclass measurement would starve
-        the bound: a frame row is a handful of fixed-width column slots, so
-        it must measure several times leaner than the boxed record, and the
-        derived bound must admit strictly more outcomes than the old
-        record-sized estimate for the same budget."""
-        from repro.service.service import (
-            _REQUESTS_PER_ROUND,
-            MAX_CACHE_ENTRIES,
-            _measured_frame_row_bytes,
-            _measured_record_bytes,
-        )
-        from repro.service import derive_cache_entries
-
-        frame_row = _measured_frame_row_bytes()
-        record_bytes = _measured_record_bytes()
-        assert frame_row * 3 < record_bytes
-
-        registry = make_registry()
-        machines = max(spec.fleet_spec.total_machines for spec in registry)
-        rows_per_window = machines * 24
-        budget_mb = 64.0
-        # The bound the old record-based measurement would have derived.
-        legacy_bound = min(
-            max(
-                len(registry) * 4 * _REQUESTS_PER_ROUND,
-                int((budget_mb * 1024 * 1024) // (rows_per_window * record_bytes)),
-            ),
-            MAX_CACHE_ENTRIES,
-        )
-        derived = derive_cache_entries(registry, budget_mb=budget_mb)
-        assert derived > legacy_bound
-
-    def test_record_footprint_counts_container_contents(self):
-        """The shallow-sum bug, regressed: ``sys.getsizeof`` on the queue's
-        waits list reports the list shell only, so the six float samples
-        went uncounted and the derived bound over-promised how many records
-        fit the budget. The deep measure must exceed the old shallow sum by
-        exactly the waits' element payload (the probe's only container)."""
-        import sys
-
-        from repro.service.service import (
-            _deep_getsizeof,
-            _measured_record_bytes,
-        )
-        from repro.telemetry.records import MachineHourRecord, QueueStats
-
-        waits = [30.0] * 6
-        assert _deep_getsizeof(waits) == sys.getsizeof(waits) + sum(
-            sys.getsizeof(w) for w in waits
-        )
-        measured = _measured_record_bytes()
-        # Rebuild the pre-fix shallow sum over an identical probe record.
-        probe = MachineHourRecord(
-            machine_id=0, machine_name="m000000", sku="Gen 1.1",
-            software="SC1", rack=0, row=0, subcluster=0, hour=0,
-            cpu_utilization=0.5, avg_running_containers=4.0,
-            total_data_read_bytes=1.0e9, tasks_finished=12,
-            total_cpu_seconds=1800.0, total_task_seconds=3600.0,
-            avg_cores_in_use=8.0, avg_ram_gb_in_use=32.0,
-            avg_ssd_gb_in_use=100.0, avg_power_watts=300.0,
-            power_cap_watts=None, feature_enabled=False,
-            max_running_containers=8,
-            queue=QueueStats(avg_length=0.5, enqueued=6, dequeued=6,
-                             waits=[30.0] * 6),
-        )
-        shallow = sys.getsizeof(probe)
-        for name in MachineHourRecord.__slots__:
-            value = getattr(probe, name)
-            shallow += sys.getsizeof(value)
-            if isinstance(value, QueueStats):
-                shallow += sum(
-                    sys.getsizeof(getattr(value, n))
-                    for n in QueueStats.__slots__
-                )
-        wait_payload = sum(sys.getsizeof(w) for w in probe.queue.waits)
-        assert measured == shallow + wait_payload
-        assert wait_payload > 0
-
     def test_auto_cache_grows_to_fit_a_bigger_launch(self):
         registry = make_registry()
         with ContinuousTuningService(

@@ -1,12 +1,19 @@
-"""Tests for operators, templates, seasonality, and the workload generator."""
+"""Tests for operators, tasks, stage materialization, templates, seasonality,
+and the workload generator."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import repro.workload.job as job_module
 
 from repro.utils.rng import RngStreams
 from repro.workload import (
     FLAT_PROFILE,
     OPERATORS,
+    JobRuntime,
     JobTemplate,
     SeasonalityProfile,
     StageSpec,
@@ -58,6 +65,73 @@ class TestTask:
             Task(0, 0, "Process", -1.0, 1e9, 0.8, 2.0, 10.0)
         with pytest.raises(ValueError):
             Task(0, 0, "Process", 10.0, 1e9, 1.5, 2.0, 10.0)
+
+
+class TestStageMaterialization:
+    """``start_next_stage`` validates a stage's sampled arrays once, raising
+    exactly what constructing the offending ``Task`` directly would."""
+
+    N_TASKS = 4
+
+    def _job(self) -> JobRuntime:
+        stage = StageSpec("Process", n_tasks_mean=self.N_TASKS, n_tasks_sigma=0.0)
+        template = JobTemplate(name="one-stage", stages=(stage,), size_sigma=0.0)
+        return JobRuntime(3, template, 0.0, np.random.default_rng(0))
+
+    def _sample_with_last(self, monkeypatch, work: float, data: float) -> None:
+        """Make the stage's last task draw ``work``/``data``; the rest are valid."""
+
+        def sample(op, n_tasks, rng, work_scale=1.0, data_scale=1.0):
+            valid = np.full(n_tasks - 1, 10.0)
+            return (
+                np.append(valid, work), np.append(valid, data),
+                np.full(n_tasks, 2.0), np.full(n_tasks, 8.0),
+            )
+
+        monkeypatch.setattr(job_module, "sample_task_params", sample)
+
+    def _assert_same_error(self, job, direct_args) -> None:
+        with pytest.raises(ValueError) as direct:
+            Task(*direct_args)
+        with pytest.raises(ValueError) as staged:
+            job.start_next_stage(np.random.default_rng(1))
+        assert str(staged.value) == str(direct.value)
+
+    def test_nonpositive_work_is_rejected(self, monkeypatch):
+        self._sample_with_last(monkeypatch, work=0.0, data=1.0)
+        self._assert_same_error(
+            self._job(), (0, 0, "Process", 0.0, 1.0, 0.5, 2.0, 8.0)
+        )
+
+    def test_negative_data_is_rejected(self, monkeypatch):
+        self._sample_with_last(monkeypatch, work=10.0, data=-1.0)
+        self._assert_same_error(
+            self._job(), (0, 0, "Process", 10.0, -1.0, 0.5, 2.0, 8.0)
+        )
+
+    @pytest.mark.parametrize("cpu_fraction", [0.0, 1.5])
+    def test_cpu_fraction_outside_the_unit_interval_is_rejected(
+        self, monkeypatch, cpu_fraction
+    ):
+        # OperatorSpec validates its own cpu_fraction, so a stand-in with
+        # the same fields plays the misconfigured operator.
+        fields = dataclasses.asdict(operator_by_name("Process"))
+        bad = SimpleNamespace(**{**fields, "cpu_fraction": cpu_fraction})
+        monkeypatch.setattr(job_module, "operator_by_name", lambda name: bad)
+        self._assert_same_error(
+            self._job(), (0, 0, "Process", 10.0, 1.0, cpu_fraction, 2.0, 8.0)
+        )
+
+    def test_stage_tasks_equal_directly_constructed_tasks(self):
+        job = self._job()
+        rng = np.random.default_rng(1)
+        tasks = job.start_next_stage(rng)
+        op = operator_by_name("Process")
+        work, data, ram, ssd = sample_task_params(op, self.N_TASKS, np.random.default_rng(1))
+        assert tasks == [
+            Task(3, 0, "Process", float(w), float(d), op.cpu_fraction, float(r), float(s))
+            for w, d, r, s in zip(work, data, ram, ssd)
+        ]
 
 
 class TestTemplates:
