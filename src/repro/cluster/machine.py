@@ -5,8 +5,14 @@ low-priority container queue, power state — and all telemetry accounting.
 Telemetry uses exact time integrals: every state change first advances the
 integrals with the old state (``advance``), then applies the change, so the
 hourly averages are exact regardless of event spacing. At every hour boundary
-the simulator calls :meth:`flush_hour`, which emits one
-:class:`~repro.telemetry.records.MachineHourRecord` and resets accumulators.
+the simulator calls :meth:`flush_hour_into`, which appends one machine-hour
+row to a :class:`~repro.telemetry.frame.MachineHourFrame` and resets the
+accumulators.
+
+A queued container is a ``(task, enqueue_time, job)`` tuple; ``task`` is
+the row the job handed out. :attr:`Machine.epoch` counts crashes: the
+simulator stamps each running task's FINISH event with it, so a crash makes
+every earlier FINISH of the machine stale without touching the event heap.
 
 Task-duration model (Level IV abstraction — machines matter, individual
 task-to-task interference does not):
@@ -22,36 +28,20 @@ current I/O rate against the temp-store medium (HDD for SC1, SSD for SC2).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.cluster import power as power_model
 from repro.cluster.config import GroupLimits
 from repro.cluster.power import FEATURE_SPEED_BOOST, UTILIZATION_EXPONENT
 from repro.cluster.sku import Sku
 from repro.cluster.software import MachineGroupKey, SoftwareConfig
-from repro.telemetry.records import MachineHourRecord, QueueStats
 
-__all__ = ["Machine", "QueuedTask", "RAM_BASE_GB", "SSD_BASE_GB"]
+__all__ = ["Machine", "RAM_BASE_GB", "SSD_BASE_GB"]
 
 RAM_BASE_GB = 6.0
 """OS / agent / cache RAM footprint with zero containers (intercept of Eq. 12)."""
 
 SSD_BASE_GB = 40.0
 """Base SSD footprint (system images, logs) with zero containers (Eq. 11)."""
-
-
-@dataclass(slots=True)
-class QueuedTask:
-    """A container waiting in a machine's low-priority queue.
-
-    ``job`` is the task's :class:`~repro.workload.job.JobRuntime`: the entry
-    carries it so the simulator can resume the task without a lookup table.
-    Both are typed loosely to avoid an import cycle.
-    """
-
-    task: object
-    enqueue_time: float
-    job: object = None
 
 
 class Machine:
@@ -72,6 +62,7 @@ class Machine:
         "cap_watts",
         "feature_enabled",
         "faulted",
+        "epoch",
         "slowdown",
         "n_running",
         "active_cores",
@@ -127,6 +118,7 @@ class Machine:
         # Fault-plane state: a faulted (crashed) machine accepts no work and
         # draws no power; ``slowdown`` > 1 models a straggler (degraded node).
         self.faulted = False
+        self.epoch = 0
         self.slowdown = 1.0
         # Runtime state.
         self.n_running = 0
@@ -134,7 +126,7 @@ class Machine:
         self.io_rate_bytes_per_s = 0.0
         self.ram_gb_in_use = RAM_BASE_GB
         self.ssd_gb_in_use = SSD_BASE_GB
-        self.queue: deque[QueuedTask] = deque()
+        self.queue: deque[tuple[object, float, object]] = deque()
         # Telemetry integrals for the current hour.
         self._last_update = 0.0
         self._reset_accumulators()
@@ -295,10 +287,17 @@ class Machine:
         self._cpu_seconds += cpu_fraction * duration
         self._task_seconds += duration
 
-    def enqueue(self, now: float, task: object, job: object = None) -> None:
-        """Queue a low-priority container (of ``job``) on this machine."""
+    def enqueue(
+        self, now: float, task: object, job: object = None, waited: float = 0.0
+    ) -> None:
+        """Queue a low-priority container (of ``job``) on this machine.
+
+        ``waited`` is queue wait the container already served elsewhere (on
+        a machine that crashed): the entry is backdated by it, so the
+        eventual dequeue reports the joined wait.
+        """
         self.advance(now)
-        self.queue.append(QueuedTask(task, now, job))
+        self.queue.append((task, now - waited, job))
         self._queue_enqueued += 1
 
     def dequeue(self, now: float) -> tuple[object, float] | None:
@@ -306,11 +305,11 @@ class Machine:
         if not self.queue:
             return None
         self.advance(now)
-        queued = self.queue.popleft()
-        wait = now - queued.enqueue_time
+        task, enqueue_time, _job = self.queue.popleft()
+        wait = now - enqueue_time
         self._queue_waits.append(wait)
         self._queue_dequeued += 1
-        return queued.task, wait
+        return task, wait
 
     # ------------------------------------------------------------------
     # Fault lifecycle
@@ -319,12 +318,15 @@ class Machine:
         """Take the machine down hard at ``now``.
 
         Running containers vanish instantly (the simulator requeues them
-        elsewhere) and runtime state drops to the powered-off baseline. The
-        caller must have drained ``queue`` first — queued tasks carry their
-        accrued wait to their next placement.
+        elsewhere), runtime state drops to the powered-off baseline, and
+        ``epoch`` advances, so the FINISH events of those containers no
+        longer match the machine and are skipped. The caller must have
+        drained ``queue`` first — queued tasks carry their accrued wait to
+        their next placement.
         """
         self.advance(now)
         self.faulted = True
+        self.epoch += 1
         self.n_running = 0
         self.active_cores = 0.0
         self.io_rate_bytes_per_s = 0.0
@@ -348,17 +350,11 @@ class Machine:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _finish_hour(self, now: float) -> tuple:
-        """Close the hour's integrals and return the computed hour values.
+    def flush_hour_into(self, now: float, hour: int, frame) -> None:
+        """Close the hour ending at ``now`` and append it to ``frame``.
 
-        Shared between the columnar and record-level flush paths so the two
-        can never drift. Returns the value tuple *before* resetting, in
-        record-field order: (cpu_utilization, avg_running_containers,
-        total_data_read_bytes, tasks_finished, total_cpu_seconds,
-        total_task_seconds, avg_cores_in_use, avg_ram_gb_in_use,
-        avg_ssd_gb_in_use, avg_power_watts, queue_avg_length,
-        queue_enqueued, queue_dequeued, queue_waits, available_fraction,
-        faulted).
+        The hour's values land directly in the frame's column buffers (no
+        per-record object), then the accumulators reset for the next hour.
         """
         self.advance(now)
         seconds = 3600.0
@@ -370,53 +366,6 @@ class Machine:
                 self.sku.power_idle_watts * self._uncapped_seconds
                 + dynamic * self._uncapped_util_pow_seconds
             )
-        values = (
-            self._int_active_cores / (self.sku.cores * seconds),
-            self._int_containers / seconds,
-            self._int_io_bytes,
-            self._tasks_finished,
-            self._cpu_seconds,
-            self._task_seconds,
-            self._int_active_cores / seconds,
-            self._int_ram / seconds,
-            self._int_ssd / seconds,
-            self._int_power / seconds,
-            self._int_queue_len / seconds,
-            self._queue_enqueued,
-            self._queue_dequeued,
-            self._queue_waits,
-            # 0.0 fault-seconds divides to exactly 0.0, so the no-fault
-            # availability is the literal 1.0 every consumer expects.
-            1.0 - self._fault_seconds / seconds,
-            self._fault_seconds > 0.0,
-        )
-        self._reset_accumulators()
-        return values
-
-    def flush_hour_into(self, now: float, hour: int, frame) -> None:
-        """Append the machine-hour ending at ``now`` straight into ``frame``.
-
-        The simulator hot path: no per-record dataclass is allocated — the
-        hour's values land directly in the frame's column buffers.
-        """
-        (
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
-        ) = self._finish_hour(now)
         # Positional call in append_hour's declared order: this runs once
         # per machine-hour, and keyword packing is measurable at fleet scale.
         frame.append_hour(
@@ -428,78 +377,29 @@ class Machine:
             self.row,
             self.subcluster,
             hour,
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
+            self._int_active_cores / (self.sku.cores * seconds),
+            self._int_containers / seconds,
+            self._int_io_bytes,
+            self._tasks_finished,
+            self._cpu_seconds,
+            self._task_seconds,
+            self._int_active_cores / seconds,
+            self._int_ram / seconds,
+            self._int_ssd / seconds,
+            self._int_power / seconds,
             self.cap_watts,
             self.feature_enabled,
             self.max_running_containers,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
+            self._int_queue_len / seconds,
+            self._queue_enqueued,
+            self._queue_dequeued,
+            self._queue_waits,
+            # 0.0 fault-seconds divides to exactly 0.0, so the no-fault
+            # availability is the literal 1.0 every consumer expects.
+            1.0 - self._fault_seconds / seconds,
+            self._fault_seconds > 0.0,
         )
-
-    def flush_hour(self, now: float, hour: int) -> MachineHourRecord:
-        """Emit the machine-hour record ending at ``now`` and reset integrals."""
-        (
-            cpu_utilization,
-            avg_running_containers,
-            total_data_read_bytes,
-            tasks_finished,
-            total_cpu_seconds,
-            total_task_seconds,
-            avg_cores_in_use,
-            avg_ram_gb_in_use,
-            avg_ssd_gb_in_use,
-            avg_power_watts,
-            queue_avg_length,
-            queue_enqueued,
-            queue_dequeued,
-            queue_waits,
-            available_fraction,
-            faulted,
-        ) = self._finish_hour(now)
-        return MachineHourRecord(
-            machine_id=self.machine_id,
-            machine_name=self.name,
-            sku=self.sku.name,
-            software=self.software.name,
-            rack=self.rack,
-            row=self.row,
-            subcluster=self.subcluster,
-            hour=hour,
-            cpu_utilization=cpu_utilization,
-            avg_running_containers=avg_running_containers,
-            total_data_read_bytes=total_data_read_bytes,
-            tasks_finished=tasks_finished,
-            total_cpu_seconds=total_cpu_seconds,
-            total_task_seconds=total_task_seconds,
-            avg_cores_in_use=avg_cores_in_use,
-            avg_ram_gb_in_use=avg_ram_gb_in_use,
-            avg_ssd_gb_in_use=avg_ssd_gb_in_use,
-            avg_power_watts=avg_power_watts,
-            power_cap_watts=self.cap_watts,
-            feature_enabled=self.feature_enabled,
-            max_running_containers=self.max_running_containers,
-            available_fraction=available_fraction,
-            faulted=faulted,
-            queue=QueueStats(
-                avg_length=queue_avg_length,
-                enqueued=queue_enqueued,
-                dequeued=queue_dequeued,
-                waits=queue_waits,
-            ),
-        )
+        self._reset_accumulators()
 
     def apply_limits(self, limits: GroupLimits) -> None:
         """Apply new YARN limits (running tasks are never killed)."""

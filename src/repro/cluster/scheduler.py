@@ -17,6 +17,14 @@ Both the free-slot set and the queue-space set use a swap-pop list +
 position map so placement — started *or* queued — is O(1) even with
 hundreds of thousands of placements per simulated day and fleets of
 thousands of machines.
+
+Placement allocates nothing: :meth:`YarnScheduler.place` returns the machine
+the task is to start on, or ``None`` when it queued the task, and the task
+itself is whatever row the caller passes. The caller starts the task and,
+when that fills the machine, calls :meth:`YarnScheduler.remove_available`;
+after a finish it re-checks the machine with :meth:`YarnScheduler.add_available`
+/ :meth:`YarnScheduler.remove_available`, or :meth:`YarnScheduler.refresh_machine`
+when the machine's queue also changes.
 """
 
 from __future__ import annotations
@@ -26,20 +34,8 @@ import random
 from repro.cluster.cluster import Cluster
 from repro.cluster.machine import Machine
 from repro.utils.errors import SchedulingError
-from repro.workload.task import Task
 
-__all__ = ["YarnScheduler", "PlacementResult"]
-
-
-class PlacementResult:
-    """Outcome of one placement attempt."""
-
-    __slots__ = ("machine", "started", "queued")
-
-    def __init__(self, machine: Machine, started: bool, queued: bool):
-        self.machine = machine
-        self.started = started
-        self.queued = queued
+__all__ = ["YarnScheduler"]
 
 
 class YarnScheduler:
@@ -51,6 +47,7 @@ class YarnScheduler:
     def __init__(self, cluster: Cluster, seed: int = 0):
         self.cluster = cluster
         self._rng = random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
         # The queue-space fallback draws from its own stream: the legacy
         # fallback was a deterministic scan that consumed nothing from the
         # placement stream, so the O(1) replacement must not perturb it
@@ -74,13 +71,15 @@ class YarnScheduler:
         self._queue_space = [m for m in self.cluster.machines if m.has_queue_space]
         self._queue_pos = {m.machine_id: i for i, m in enumerate(self._queue_space)}
 
-    def _add_available(self, machine: Machine) -> None:
+    def add_available(self, machine: Machine) -> None:
+        """Add ``machine`` to the free-slot set (no-op if present)."""
         if machine.machine_id in self._pos:
             return
         self._pos[machine.machine_id] = len(self._available)
         self._available.append(machine)
 
-    def _remove_available(self, machine: Machine) -> None:
+    def remove_available(self, machine: Machine) -> None:
+        """Drop ``machine`` from the free-slot set (no-op if absent)."""
         index = self._pos.pop(machine.machine_id, None)
         if index is None:
             return
@@ -107,9 +106,9 @@ class YarnScheduler:
     def refresh_machine(self, machine: Machine) -> None:
         """Re-evaluate one machine's set memberships (after limit/queue change)."""
         if machine.has_free_slot:
-            self._add_available(machine)
+            self.add_available(machine)
         else:
-            self._remove_available(machine)
+            self.remove_available(machine)
         if machine.has_queue_space:
             self._add_queue_space(machine)
         else:
@@ -128,23 +127,36 @@ class YarnScheduler:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def place(self, task: Task, now: float, job: object = None) -> PlacementResult:
-        """Place ``task``: start it on a random free machine, else queue it.
+    def place(
+        self, task: object, now: float, job: object = None, waited: float = 0.0
+    ) -> Machine | None:
+        """Place ``task``: pick a random free machine, else queue it.
 
-        A queued task's entry carries ``job`` (its
-        :class:`~repro.workload.job.JobRuntime`) for when it is dequeued.
+        Returns the machine the caller must start ``task`` on, or ``None``
+        when the task was queued. A queued entry carries ``job`` (its
+        :class:`~repro.workload.job.JobRuntime`) for when it is dequeued,
+        and is backdated by ``waited``, wait already served elsewhere.
+        Raises :class:`~repro.utils.errors.SchedulingError` when every
+        queue is full.
         """
         self.placements += 1
         available = self._available
         if available:
-            machine = available[self._rng.randrange(len(available))]
-            return PlacementResult(machine, True, False)
+            # random.Random.randrange(n) inlined: CPython draws
+            # ``getrandbits(n.bit_length())`` until the value is below n.
+            n = len(available)
+            k = n.bit_length()
+            getrandbits = self._getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return available[r]
         machine = self._pick_queue_machine()
-        machine.enqueue(now, task, job)
+        machine.enqueue(now, task, job, waited)
         if not machine.has_queue_space:
             self._remove_queue_space(machine)
         self.queued_placements += 1
-        return PlacementResult(machine, False, True)
+        return None
 
     def _pick_queue_machine(self) -> Machine:
         machines = self.cluster.machines
@@ -164,8 +176,3 @@ class YarnScheduler:
         return self._queue_space[
             self._fallback_rng.randrange(len(self._queue_space))
         ]
-
-    def note_started(self, machine: Machine) -> None:
-        """Bookkeeping after a container actually starts on ``machine``."""
-        if not machine.has_free_slot:
-            self._remove_available(machine)

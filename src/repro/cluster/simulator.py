@@ -26,6 +26,16 @@ backpressure instead of failing: the task is deferred and retried after
 ``SimulationConfig.placement_retry_s`` — the RM-level behaviour of a real
 YARN cluster under overload.
 
+The per-task path builds no object per task. A task is the row its job
+handed out (see :mod:`repro.workload.job`); a FINISH event's payload is the
+tuple ``(machine, job, row, duration, log_row, epoch)``. When a machine
+crashes, the FINISH events of its running tasks stay in the heap (removing
+them would be O(n log n)); instead the machine's ``epoch`` advances, and a
+FINISH whose ``epoch`` no longer matches its machine's is a no-op. The
+crash finds the tasks to requeue by scanning the heap for FINISH events of
+that machine at its current epoch, so a task displaced once is never
+displaced again by a later crash of the same machine.
+
 The simulator is deterministic for a given seed (all randomness flows through
 named :class:`~repro.utils.rng.RngStreams`).
 """
@@ -56,7 +66,6 @@ from repro.utils.rng import RngStreams
 from repro.utils.units import SECONDS_PER_HOUR
 from repro.workload.generator import Workload
 from repro.workload.job import JobRuntime
-from repro.workload.task import Task
 
 __all__ = [
     "SimulationConfig",
@@ -201,24 +210,6 @@ class SimulationResult:
         return self.jobs_submitted * 24.0 / self.duration_hours
 
 
-class _TaskRun:
-    """Payload of a FINISH event."""
-
-    __slots__ = ("machine", "job", "task", "duration", "log_row", "cancelled")
-
-    def __init__(self, machine: Machine, job: JobRuntime, task: Task,
-                 duration: float, log_row: int):
-        self.machine = machine
-        self.job = job
-        self.task = task
-        self.duration = duration
-        self.log_row = log_row
-        # Set when the hosting machine crashes mid-execution: the FINISH
-        # event stays in the heap (removal would be O(n log n)) but becomes
-        # a no-op, and the task is requeued elsewhere.
-        self.cancelled = False
-
-
 class ClusterSimulator:
     """Runs one workload against one cluster, collecting telemetry."""
 
@@ -353,8 +344,8 @@ class ClusterSimulator:
             elif kind == _SAMPLE:
                 self._handle_sample(payload, horizon)
             elif kind == _RETRY:
-                job, task, carried = payload
-                self._place(job, task, True, carried)
+                job, row, carried = payload
+                self._place(job, row, True, carried)
             elif kind == _CRASH:
                 self._handle_crash(payload)
             elif kind == _RECOVER:
@@ -398,14 +389,13 @@ class ClusterSimulator:
         self._start_stage(job)
 
     def _start_stage(self, job: JobRuntime) -> None:
-        tasks = job.start_next_stage(self._stage_rng)
-        for task in tasks:
-            self._place(job, task)
+        for row in job.start_next_stage(self._stage_rng):
+            self._place(job, row)
 
     def _place(
-        self, job: JobRuntime, task: Task, retried: bool = False, carried: float = 0.0
+        self, job: JobRuntime, row: tuple, retried: bool = False, carried: float = 0.0
     ) -> None:
-        """Place ``task``; ``carried`` is queue wait it accrued on a crashed machine.
+        """Place task ``row``; ``carried`` is queue wait it accrued on a crashed machine.
 
         The carried wait travels with the task (through ``_RETRY`` payloads
         too) and joins its next wait sample, so fault scenarios report
@@ -418,7 +408,9 @@ class ClusterSimulator:
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             tick = perf_counter()
         try:
-            placement = self.scheduler.place(task, self.now, job)
+            # A queued task's entry is backdated by ``carried``, so the
+            # eventual dequeue reports the joined cross-machine wait.
+            machine = self.scheduler.place(row, self.now, job, carried)
         except SchedulingError:
             if profiling:
                 # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
@@ -430,70 +422,67 @@ class ClusterSimulator:
             if not retried:
                 self.result.tasks_deferred += 1
             self._push(
-                self.now + self.config.placement_retry_s, _RETRY, (job, task, carried)
+                self.now + self.config.placement_retry_s, _RETRY, (job, row, carried)
             )
             return
         if profiling:
             # repro: allow[REP001] obs-gated profiling: attribution only, never enters simulation state
             profile.placement_seconds += perf_counter() - tick
             profile.placements += 1
-        machine = placement.machine
-        if placement.started:
-            if carried > 0.0:
-                # The wait was served on a machine that died; sample it on
-                # the machine that finally runs the task so frame telemetry
-                # sees the end-to-end figure.
-                machine.note_carried_wait(carried)
-            self._start_on(machine, job, task, carried)
-            self.scheduler.note_started(machine)
-        else:
+        if machine is None:
             self.result.tasks_queued += 1
-            if carried > 0.0:
-                # Backdate the enqueue so the eventual dequeue reports the
-                # joined cross-machine wait.
-                machine.queue[-1].enqueue_time -= carried
+            return
+        if carried > 0.0:
+            # The wait was served on a machine that died; sample it on
+            # the machine that finally runs the task so frame telemetry
+            # sees the end-to-end figure.
+            machine.note_carried_wait(carried)
+        self._start_on(machine, job, row, carried)
+        # The machine came from the free-slot set, so it is not faulted.
+        if machine.n_running >= machine.max_running_containers:
+            self.scheduler.remove_available(machine)
 
     def _start_on(
-        self, machine: Machine, job: JobRuntime, task: Task, queue_wait: float
+        self, machine: Machine, job: JobRuntime, row: tuple, queue_wait: float
     ) -> None:
+        work, data, ram, ssd = row
+        cpu_fraction = job.cpu_fraction
+        now = self.now
         # Positional calls on the per-task path: keyword packing costs
         # measurably at fleet scale.
-        duration = machine.start_task(
-            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
-            task.data_bytes, task.work_seconds,
-        )
-        self.result.tasks_started += 1
+        duration = machine.start_task(now, cpu_fraction, ram, ssd, data, work)
+        result = self.result
+        result.tasks_started += 1
         log_row = -1
-        rate = self.result.task_log.sample_rate
+        task_log = result.task_log
+        rate = task_log.sample_rate
         if rate > 0.0 and (rate >= 1.0 or self._log_rng.random() < rate):
-            log_row = self.result.task_log.append(
+            log_row = task_log.append(
                 sku=machine.sku.name,
                 software=machine.software.name,
                 rack=machine.rack,
-                op=task.operator,
+                op=job.operator,
                 duration=duration,
-                data_bytes=task.data_bytes,
-                cpu_seconds=task.cpu_fraction * duration,
-                start=self.now,
+                data_bytes=data,
+                cpu_seconds=cpu_fraction * duration,
+                start=now,
                 queue_wait=queue_wait,
                 job_template=job.template.name,
             )
         heapq.heappush(self._heap, (
-            self.now + duration, _FINISH, next(self._seq),
-            _TaskRun(machine, job, task, duration, log_row),
+            now + duration, _FINISH, next(self._seq),
+            (machine, job, row, duration, log_row, machine.epoch),
         ))
 
-    def _handle_finish(self, run: _TaskRun) -> None:
-        if run.cancelled:
-            # The hosting machine crashed while this task ran; the task was
-            # requeued and will produce a fresh FINISH from its new machine.
+    def _handle_finish(self, payload: tuple) -> None:
+        machine, job, row, duration, log_row, epoch = payload
+        if epoch != machine.epoch:
+            # The machine crashed while this task ran; the task was requeued
+            # and will produce a fresh FINISH from its new machine.
             return
-        machine, job, task = run.machine, run.job, run.task
-        machine.finish_task(
-            self.now, task.cpu_fraction, task.ram_gb, task.ssd_gb,
-            task.data_bytes, run.duration,
-        )
-        stage_done = job.on_task_finish(self.now, run.duration, run.log_row)
+        _work, data, ram, ssd = row
+        machine.finish_task(self.now, job.cpu_fraction, ram, ssd, data, duration)
+        stage_done = job.on_task_finish(self.now, duration, log_row)
         if stage_done:
             if job.last_finish_log_row >= 0:
                 self.result.task_log.mark_critical(job.last_finish_log_row)
@@ -513,16 +502,24 @@ class ClusterSimulator:
                         is_benchmark=job.template.is_benchmark,
                     )
                 )
+        scheduler = self.scheduler
         if machine.queue:
             self._drain_queue(machine)
-        self.scheduler.refresh_machine(machine)
+            scheduler.refresh_machine(machine)
+        # With the queue empty and unchanged, queue-space membership still
+        # holds; only the free slot may have changed. The machine is not
+        # faulted: a crash would have made this FINISH stale.
+        elif machine.n_running < machine.max_running_containers:
+            scheduler.add_available(machine)
+        else:
+            scheduler.remove_available(machine)
 
     def _drain_queue(self, machine: Machine) -> None:
         queue = machine.queue
         while queue and machine.has_free_slot:
-            job = queue[0].job
-            task, wait = machine.dequeue(self.now)
-            self._start_on(machine, job, task, wait)
+            job = queue[0][2]
+            row, wait = machine.dequeue(self.now)
+            self._start_on(machine, job, row, wait)
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -534,27 +531,27 @@ class ClusterSimulator:
         machine.advance(self.now)
         # Displaced work, in deterministic order: queued tasks first (they
         # carry their accrued wait), then running tasks from the heap scan.
-        displaced: list[tuple[JobRuntime, Task, float]] = []
+        now = self.now
+        displaced: list[tuple[JobRuntime, tuple, float]] = []
         while machine.queue:
-            queued = machine.queue.popleft()
-            displaced.append(
-                (queued.job, queued.task, self.now - queued.enqueue_time)
-            )
-        # O(heap) scan per crash: crashes are rare events, and lazily
-        # cancelling beats restructuring the heap on the hot path.
+            row, enqueue_time, job = machine.queue.popleft()
+            displaced.append((job, row, now - enqueue_time))
+        # O(heap) scan per crash: crashes are rare events, and leaving
+        # stale FINISH events in place beats restructuring the heap on the
+        # hot path. Only the current epoch's events are still live.
+        epoch = machine.epoch
         for item in self._heap:
             if item[1] == _FINISH:
                 run = item[3]
-                if run.machine is machine and not run.cancelled:
-                    run.cancelled = True
-                    displaced.append((run.job, run.task, 0.0))
+                if run[0] is machine and run[5] == epoch:
+                    displaced.append((run[1], run[2], 0.0))
         machine.crash(self.now)
         # Faulted machines report no free slot / queue space, so the
         # refresh evicts the machine from both scheduler sets.
         self.scheduler.refresh_machine(machine)
-        for job, task, waited in displaced:
+        for job, row, waited in displaced:
             self.result.tasks_requeued += 1
-            self._place(job, task, False, waited)
+            self._place(job, row, False, waited)
 
     def _handle_recover(self, machine: Machine) -> None:
         if not machine.faulted:

@@ -9,7 +9,6 @@ from repro.workload.generator import (
 from repro.workload.job import JobRuntime
 from repro.workload.operators import OPERATORS, OperatorSpec, operator_by_name
 from repro.workload.seasonality import FLAT_PROFILE, SeasonalityProfile, SpikeProfile
-from repro.workload.task import Task
 from repro.workload.template import (
     JobTemplate,
     StageSpec,
@@ -29,7 +28,6 @@ __all__ = [
     "FLAT_PROFILE",
     "SeasonalityProfile",
     "SpikeProfile",
-    "Task",
     "JobTemplate",
     "StageSpec",
     "benchmark_templates",

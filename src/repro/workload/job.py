@@ -5,6 +5,15 @@ when the previous one has fully finished (stage barrier). The *critical path*
 of such a job is, per stage, the last task to finish — exactly the
 "slow tasks in the critical path" the Level III abstraction keys on
 (Section 3.2): protecting those tasks protects job runtime.
+
+Tasks are rows, not objects. :meth:`JobRuntime.start_next_stage` returns a
+stage's tasks as ``(work_seconds, data_bytes, ram_gb, ssd_gb)`` tuples, one
+per container, and keeps what the stage's tasks share, the operator name and
+its CPU activity fraction, on the job itself (:attr:`JobRuntime.operator`,
+:attr:`JobRuntime.cpu_fraction`). The stage barrier makes that sound: every
+live task of a job belongs to its current stage, including tasks that are
+queued, waiting on a placement retry, or displaced by a machine crash. A
+stage's draws are checked once, before any row is handed out.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.workload.operators import operator_by_name, sample_task_params
-from repro.workload.task import Task
 from repro.workload.template import JobTemplate
 
 __all__ = ["JobRuntime"]
@@ -27,6 +35,8 @@ class JobRuntime:
         "submit_time",
         "size_multiplier",
         "current_stage",
+        "operator",
+        "cpu_fraction",
         "remaining_in_stage",
         "n_tasks_total",
         "total_task_seconds",
@@ -47,6 +57,9 @@ class JobRuntime:
         self.submit_time = submit_time
         self.size_multiplier = template.sample_size_multiplier(rng)
         self.current_stage = -1
+        # The current stage's operator and CPU fraction, shared by its rows.
+        self.operator = ""
+        self.cpu_fraction = 0.0
         self.remaining_in_stage = 0
         self.n_tasks_total = 0
         self.total_task_seconds = 0.0
@@ -59,8 +72,13 @@ class JobRuntime:
         """True when at least one stage has not started yet."""
         return self.current_stage + 1 < len(self.template.stages)
 
-    def start_next_stage(self, rng: np.random.Generator) -> list[Task]:
-        """Materialize the next stage's tasks and advance the stage pointer."""
+    def start_next_stage(
+        self, rng: np.random.Generator
+    ) -> list[tuple[float, float, float, float]]:
+        """Materialize the next stage's task rows and advance the stage pointer.
+
+        Each row is ``(work_seconds, data_bytes, ram_gb, ssd_gb)``.
+        """
         if not self.has_next_stage:
             raise RuntimeError(f"job {self.job_id} has no next stage to start")
         if self.remaining_in_stage != 0:
@@ -75,10 +93,8 @@ class JobRuntime:
         work, data, ram, ssd = sample_task_params(
             op, n_tasks, rng, work_scale=spec.work_scale, data_scale=spec.data_scale
         )
-        work, data = work.tolist(), data.tolist()
-        # Check the whole stage's draws up front, with Task's own messages,
-        # so a bad stage fails before any of its tasks is built. Builtin min
-        # over the lists is cheaper than ndarray.min for a stage of a few tasks.
+        # Check the whole stage's draws up front, so a bad stage fails
+        # before any of its rows is placed.
         if min(work) <= 0:
             raise ValueError("work_seconds must be positive")
         if min(data) < 0:
@@ -86,15 +102,12 @@ class JobRuntime:
         cpu_fraction = op.cpu_fraction
         if not 0.0 < cpu_fraction <= 1.0:
             raise ValueError("cpu_fraction must be in (0, 1]")
-        job_id, stage_index, operator = self.job_id, self.current_stage, op.name
-        tasks = [
-            Task(job_id, stage_index, operator, w, d, cpu_fraction, r, s)
-            for w, d, r, s in zip(work, data, ram.tolist(), ssd.tolist())
-        ]
+        self.operator = op.name
+        self.cpu_fraction = cpu_fraction
         self.remaining_in_stage = n_tasks
         self.n_tasks_total += n_tasks
         self.last_finish_log_row = -1
-        return tasks
+        return list(zip(work, data, ram, ssd, strict=True))
 
     def on_task_finish(self, finish_time: float, duration: float, log_row: int) -> bool:
         """Record one task completion; returns True when the stage completed.

@@ -13,6 +13,7 @@ stragglers and critical paths interesting (Figure 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,22 +73,40 @@ def sample_task_params(
     rng: np.random.Generator,
     work_scale: float = 1.0,
     data_scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw per-task (work_s, data_bytes, ram_gb, ssd_gb) arrays for a stage.
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Draw per-task (work_s, data_bytes, ram_gb, ssd_gb) lists for a stage.
 
     Log-normal draws are parameterized so the *mean* (not the median) equals
     the spec's mean, i.e. ``mu = ln(mean) - sigma^2 / 2``.
+
+    One ``standard_normal`` call draws all ``4 * n_tasks`` variates. numpy
+    computes ``lognormal`` as ``exp(mu + sigma * z)`` and ``normal`` as
+    ``loc + scale * z``, one standard normal per variate, so transforming
+    the block here with the same scalar operations gives bit-for-bit the
+    values of separate ``lognormal``/``normal`` calls for work, data, RAM
+    and SSD, in that order, and leaves ``rng`` in the same state.
     """
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    work_mu = np.log(op.work_mean_s * work_scale) - op.work_sigma**2 / 2.0
-    data_mu = np.log(op.data_mean_bytes * data_scale) - op.data_sigma**2 / 2.0
-    work = rng.lognormal(mean=work_mu, sigma=op.work_sigma, size=n_tasks)
-    data = rng.lognormal(mean=data_mu, sigma=op.data_sigma, size=n_tasks)
-    ram = np.maximum(
-        0.25, rng.normal(op.ram_gb_per_container, op.ram_gb_per_container * 0.2, n_tasks)
-    )
-    ssd = np.maximum(
-        0.5, rng.normal(op.ssd_gb_per_container, op.ssd_gb_per_container * 0.2, n_tasks)
-    )
+    work_mu = float(np.log(op.work_mean_s * work_scale) - op.work_sigma**2 / 2.0)
+    data_mu = float(np.log(op.data_mean_bytes * data_scale) - op.data_sigma**2 / 2.0)
+    work_sigma, data_sigma = op.work_sigma, op.data_sigma
+    ram_loc = op.ram_gb_per_container
+    ram_scale = ram_loc * 0.2
+    ssd_loc = op.ssd_gb_per_container
+    ssd_scale = ssd_loc * 0.2
+    z = rng.standard_normal(4 * n_tasks).tolist()
+    n2, n3 = 2 * n_tasks, 3 * n_tasks
+    exp = math.exp
+    work = [exp(work_mu + work_sigma * v) for v in z[:n_tasks]]
+    data = [exp(data_mu + data_sigma * v) for v in z[n_tasks:n2]]
+    ram = [ram_loc + ram_scale * v for v in z[n2:n3]]
+    ssd = [ssd_loc + ssd_scale * v for v in z[n3:]]
+    # Floors as ``np.maximum(floor, draws)`` would apply them. They sit over
+    # four standard deviations below every operator's mean, so a stage
+    # almost never needs the clamping pass.
+    if min(ram) < 0.25:
+        ram = [v if v > 0.25 else 0.25 for v in ram]
+    if min(ssd) < 0.5:
+        ssd = [v if v > 0.5 else 0.5 for v in ssd]
     return work, data, ram, ssd

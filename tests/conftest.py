@@ -16,9 +16,18 @@ from repro.cluster import (
     build_cluster,
     small_fleet_spec,
 )
+from repro.telemetry.frame import MachineHourFrame
 from repro.telemetry.records import MachineHourRecord, QueueStats
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates, estimate_jobs_per_hour
+
+
+def flush_record(machine, now: float, hour: int) -> MachineHourRecord:
+    """Close ``machine``'s hour ending at ``now`` and return it as a record."""
+    frame = MachineHourFrame()
+    machine.flush_hour_into(now, hour, frame)
+    (record,) = frame.to_records()
+    return record
 
 
 def make_record(

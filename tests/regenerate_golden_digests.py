@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import json
 
-from tests.test_golden_digests import CASES, GOLDEN_PATH, fingerprint
+from repro.service import SerialBackend
+from tests.test_golden_digests import (
+    CAMPAIGN,
+    CASES,
+    GOLDEN_PATH,
+    campaign_fingerprint,
+    campaign_report,
+    fingerprint,
+)
 
 
 def main() -> None:
     golden = {name: fingerprint(name) for name in CASES}
+    golden[CAMPAIGN] = campaign_fingerprint(campaign_report(SerialBackend()))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     for name, entry in golden.items():
         print(f"{name}: {entry['digest']}")

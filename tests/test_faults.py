@@ -58,9 +58,9 @@ from repro.service import (
     default_catalog,
 )
 from repro.utils.rng import RngStreams
-from repro.workload import Task, Workload, WorkloadGenerator, default_templates
+from repro.workload import Workload, WorkloadGenerator, default_templates
 
-from tests.conftest import make_record
+from tests.conftest import flush_record, make_record
 
 HOUR = 3600.0
 
@@ -297,7 +297,7 @@ class TestCrashRecover:
         cluster = build_cluster(small_fleet_spec())
         machine = cluster.machines[0]
         machine.note_carried_wait(42.0)
-        record = machine.flush_hour(HOUR, hour=0)
+        record = flush_record(machine, HOUR, hour=0)
         assert record.queue.mean_wait() == pytest.approx(42.0)
 
 
@@ -306,19 +306,42 @@ class TestCrashRecover:
 # end-to-end wait on the machine that finally runs it
 # ----------------------------------------------------------------------
 class _StubJob:
-    """The two things the simulator asks of a job, for hand-placed tasks."""
+    """What the simulator asks of a job, for hand-placed task rows.
+
+    Records every finish it is told about, so a test can count them.
+    """
+
+    operator = "Process"
+    cpu_fraction = 0.5
 
     def __init__(self, name: str):
         self.template = SimpleNamespace(name=name)
+        self.finishes: list[float] = []
 
     def on_task_finish(self, finish_time, duration, log_row) -> bool:
+        self.finishes.append(finish_time)
         return False  # the stage never completes: no follow-up tasks
+
+
+class _WatchedMachine(Machine):
+    """A machine that remembers the lowest running count it ever reached."""
+
+    __slots__ = ("lowest_running",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lowest_running = 0
+
+    def finish_task(self, *args) -> None:
+        super().finish_task(*args)
+        if self.n_running < self.lowest_running:
+            self.lowest_running = self.n_running
 
 
 def _two_machine_simulator():
     """Two machines, one running slot and one queue slot each, every task logged."""
     machines = [
-        Machine(
+        _WatchedMachine(
             machine_id=i, sku=sku_by_name("Gen 4.1"), software=SC2, rack=i,
             chassis=i, row=0, subcluster=0, limits=GroupLimits(1, 1),
         )
@@ -332,13 +355,11 @@ def _two_machine_simulator():
     return cluster, simulator
 
 
-def _submit(simulator, name: str, work_seconds: float) -> None:
-    """Hand one task of a stub job to the simulator's placement path."""
-    task = Task(
-        job_id=0, stage_index=0, operator="Process", work_seconds=work_seconds,
-        data_bytes=1e6, cpu_fraction=0.5, ram_gb=1.0, ssd_gb=1.0,
-    )
-    simulator._place(_StubJob(name), task)
+def _submit(simulator, name: str, work_seconds: float) -> _StubJob:
+    """Hand one task row of a stub job to the simulator's placement path."""
+    job = _StubJob(name)
+    simulator._place(job, (work_seconds, 1e6, 1.0, 1.0))
+    return job
 
 
 def _logged(result, name: str) -> tuple[float, float]:
@@ -426,7 +447,7 @@ class TestCarriedWait:
             (template, wait)
             for template, start, wait in zip(
                 result.task_log.job_template, result.task_log.start,
-                result.task_log.queue_wait,
+                result.task_log.queue_wait, strict=True,
             )
             if start == 160.0
         ]
@@ -435,6 +456,65 @@ class TestCarriedWait:
         assert template.startswith("queued")
         assert wait == 90.0
         assert 90.0 in _hour_waits(result, host)
+
+
+class TestEpochCancellation:
+    def test_stale_finish_after_a_crash_and_recovery_is_a_no_op(self):
+        """A crash leaves the FINISH events of its running tasks in the heap.
+
+        Here the machine recovers and starts a new task before the displaced
+        task's original FINISH time. That stale FINISH must not release a
+        slot or count a finish: the new task finishes and is counted once,
+        the displaced task finishes once (on its second run), and the
+        running count never goes negative.
+        """
+        cluster, simulator = _two_machine_simulator()
+        host, spare = cluster.machines
+        jobs = {}
+        simulator.schedule_crash(0.0, spare)  # everything runs on the host
+
+        def submit(name, work_seconds):
+            def action(sim):
+                jobs[name] = _submit(sim, name, work_seconds)
+            return action
+
+        simulator.schedule_action(10.0, submit("displaced", 1000.0))
+        simulator.schedule_crash(100.0, host)
+        simulator.schedule_recover(130.0, host)
+        # The host is free again at 140 s; the displaced task's retry at
+        # 160 s queues behind the new one.
+        simulator.schedule_action(140.0, submit("new", 5000.0))
+        result = simulator.run(2.0)
+
+        log = result.task_log
+        starts = {}
+        for template, start, duration in zip(
+            log.job_template, log.start, log.duration, strict=True
+        ):
+            starts.setdefault(template, []).append((start, duration))
+        (first_start, first_duration), (rerun_start, rerun_duration) = starts["displaced"]
+        ((new_start, new_duration),) = starts["new"]
+        stale_finish = first_start + first_duration
+        new_finish = new_start + new_duration
+        assert first_start == 10.0 and new_start == 140.0
+        # The scenario this test is about: the stale FINISH falls while the
+        # recovered host runs the new task.
+        assert 140.0 < stale_finish < new_finish
+        assert result.tasks_requeued == 1
+
+        # The stale FINISH counted nothing and freed no slot: the displaced
+        # task reran only once the new task had finished.
+        assert jobs["displaced"].finishes == [rerun_start + rerun_duration]
+        assert rerun_start == new_finish
+        assert jobs["new"].finishes == [new_finish]
+        assert host.lowest_running == 0
+        assert host.n_running == 0
+        assert result.tasks_started == 3
+        assert sum(
+            record.tasks_finished
+            for record in result.frame.to_records()
+            if record.machine_id == host.machine_id
+        ) == 2
 
 
 # ----------------------------------------------------------------------

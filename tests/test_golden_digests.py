@@ -21,6 +21,14 @@ The cases cover the simulator paths that the benchmark's golden values
   queues under new limits, with a partially sampled task log;
 * ``sampling`` — resource sampling with every task logged.
 
+One more entry, ``campaign``, pins a whole tuning campaign: a ``yarn-config``
+tenant and an ``sc-selection`` tenant over two rounds with short windows.
+It hashes every tenant's ``CampaignReport`` history, capacities and rollout
+waves, and it must come out the same under the serial, process-pool and
+spooled-queue backends. The ``sc-selection`` tenant runs its SC1-vs-SC2 experiment
+simulation inside the service process, so this entry also covers a
+simulation that never crosses a backend.
+
 A digest changes only through ``python -m tests.regenerate_golden_digests``,
 run from the repository root, with the reason recorded in CHANGES.md.
 """
@@ -39,9 +47,19 @@ from repro.cluster import (
     GroupLimits,
     SimulationConfig,
     build_cluster,
+    small_application_fleet_spec,
     small_fleet_spec,
 )
 from repro.faults import FaultInjector, FaultPlan, MachineSelector, OutageSpec
+from repro.service import (
+    CampaignGuardrails,
+    ContinuousTuningService,
+    FleetRegistry,
+    LocalQueueBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+    TenantSpec,
+)
 from repro.utils.rng import RngStreams
 from repro.workload import WorkloadGenerator, default_templates
 
@@ -216,13 +234,66 @@ def fingerprint(name: str) -> dict:
     return {"counts": counts(result), "digest": digest(result)}
 
 
+CAMPAIGN = "campaign"
+CAMPAIGN_TENANTS = (("yarn", "yarn-config", 31), ("sc", "sc-selection", 37))
+CAMPAIGN_KW = dict(
+    rounds=2, observe_days=0.25, impact_days=0.125, flight_hours=2.0
+)
+
+
+def campaign_report(backend):
+    """Run the two-tenant campaign on ``backend``; return its fleet report."""
+    registry = FleetRegistry()
+    for name, application, seed in CAMPAIGN_TENANTS:
+        registry.add(
+            TenantSpec(
+                name=name,
+                fleet_spec=small_application_fleet_spec(),
+                seed=seed,
+                application=application,
+            )
+        )
+    # Short pilot flights rarely move the metric significantly; without this
+    # every round would roll back at FLIGHT and no rollout would be pinned.
+    guardrails = CampaignGuardrails(require_flight_significance=False)
+    with ContinuousTuningService(
+        registry, guardrails=guardrails, backend=backend
+    ) as service:
+        return service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
+
+
+def campaign_fingerprint(report) -> dict:
+    """Counts and sha256 of every tenant's history, capacities and waves."""
+    h = hashlib.sha256()
+    counts = {"simulations_executed": report.simulations_executed}
+    for name in sorted(report.reports):
+        tenant = report.reports[name]
+        h.update(repr((
+            name, tenant.application, tenant.final_phase.value,
+            tenant.rounds_run, tenant.deployments, tenant.rollbacks,
+            tenant.capacity_before, tenant.capacity_after,
+        )).encode())
+        for event in tenant.history:
+            h.update(repr((event.round, event.phase.value, event.detail)).encode())
+        for wave in tenant.rollout_waves:
+            effect = None if wave.impact is None else float(wave.impact.effect)
+            h.update(repr((
+                wave.wave, wave.fraction, wave.machines, wave.applied,
+                wave.reverted, effect,
+            )).encode())
+        counts[f"{name}.rollout_waves"] = len(tenant.rollout_waves)
+        counts[f"{name}.history_events"] = len(tenant.history)
+        counts[f"{name}.rounds_run"] = tenant.rounds_run
+    return {"counts": counts, "digest": h.hexdigest()}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_every_case_has_a_golden_entry(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted([*CASES, CAMPAIGN])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -232,6 +303,19 @@ def test_output_matches_the_golden_digest(name, golden):
     assert observed["digest"] == golden[name]["digest"]
 
 
+@pytest.mark.parametrize("backend", ["serial", "pool", "queue"])
+def test_campaign_matches_the_golden_digest(backend, golden, tmp_path):
+    if backend == "serial":
+        engine = SerialBackend()
+    elif backend == "pool":
+        engine = ProcessPoolBackend(max_workers=2)
+    else:
+        engine = LocalQueueBackend(tmp_path / "spool", workers=2)
+    observed = campaign_fingerprint(campaign_report(engine))
+    assert observed["counts"] == golden[CAMPAIGN]["counts"]
+    assert observed["digest"] == golden[CAMPAIGN]["digest"]
+
+
 def test_the_cases_exercise_the_paths_they_pin(golden):
     stress = golden["backpressure-outage"]["counts"]
     assert stress["tasks_deferred"] > 0
@@ -239,3 +323,6 @@ def test_the_cases_exercise_the_paths_they_pin(golden):
     assert stress["tasks_queued"] > 0
     assert golden["yarn-config-action"]["counts"]["tasks_queued"] > 0
     assert golden["sampling"]["counts"]["resource_samples"] > 0
+    campaign = golden[CAMPAIGN]["counts"]
+    assert campaign["yarn.rounds_run"] == 2
+    assert campaign["yarn.rollout_waves"] > 0

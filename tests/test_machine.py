@@ -7,6 +7,8 @@ from repro.cluster.machine import RAM_BASE_GB, SSD_BASE_GB, Machine
 from repro.cluster.sku import sku_by_name
 from repro.cluster.software import SC1, SC2
 
+from tests.conftest import flush_record
+
 
 def make_machine(sku="Gen 4.1", software=SC2, max_containers=10):
     return Machine(
@@ -92,7 +94,7 @@ class TestDurationModel:
 class TestTelemetryIntegrals:
     def test_idle_hour_reports_zero_utilization(self):
         machine = make_machine()
-        record = machine.flush_hour(3600.0, hour=0)
+        record = flush_record(machine, 3600.0, hour=0)
         assert record.cpu_utilization == pytest.approx(0.0)
         assert record.tasks_finished == 0
         assert record.avg_power_watts == pytest.approx(machine.sku.power_idle_watts)
@@ -102,7 +104,7 @@ class TestTelemetryIntegrals:
         machine.start_task(0.0, 1.0, 2.0, 10.0, 1e9, 1.0)
         # Manually finish at t=1800 regardless of computed duration.
         machine.finish_task(1800.0, 1.0, 2.0, 10.0, 1e9, 1800.0)
-        record = machine.flush_hour(3600.0, hour=0)
+        record = flush_record(machine, 3600.0, hour=0)
         assert record.avg_running_containers == pytest.approx(0.5)
         assert record.cpu_utilization == pytest.approx(
             0.5 / machine.sku.cores, rel=1e-6
@@ -114,8 +116,8 @@ class TestTelemetryIntegrals:
         machine = make_machine()
         machine.start_task(0.0, 1.0, 2.0, 10.0, 1e9, 1.0)
         machine.finish_task(1000.0, 1.0, 2.0, 10.0, 1e9, 1000.0)
-        machine.flush_hour(3600.0, hour=0)
-        second = machine.flush_hour(7200.0, hour=1)
+        flush_record(machine, 3600.0, hour=0)
+        second = flush_record(machine, 7200.0, hour=1)
         assert second.tasks_finished == 0
         assert second.avg_running_containers == pytest.approx(0.0)
 
@@ -125,14 +127,14 @@ class TestTelemetryIntegrals:
         data = 5e9
         duration = machine.start_task(0.0, 0.8, 2.0, 10.0, data, 10.0)
         machine.finish_task(duration, 0.8, 2.0, 10.0, data, duration)
-        record = machine.flush_hour(3600.0, hour=0)
+        record = flush_record(machine, 3600.0, hour=0)
         assert record.total_data_read_bytes == pytest.approx(data, rel=1e-9)
 
     def test_power_integral_mixes_capped_and_uncapped(self):
         machine = make_machine()
         machine.advance(1800.0)  # half hour uncapped at idle
         machine.cap_watts = machine.sku.power_idle_watts + 1.0
-        record = machine.flush_hour(3600.0, hour=0)
+        record = flush_record(machine, 3600.0, hour=0)
         assert record.avg_power_watts == pytest.approx(
             machine.sku.power_idle_watts, rel=1e-6
         )
@@ -155,7 +157,7 @@ class TestQueue:
         machine = make_machine()
         machine.enqueue(0.0, "t1")
         machine.dequeue(1800.0)
-        record = machine.flush_hour(3600.0, hour=0)
+        record = flush_record(machine, 3600.0, hour=0)
         assert record.queue.enqueued == 1
         assert record.queue.dequeued == 1
         assert record.queue.avg_length == pytest.approx(0.5)

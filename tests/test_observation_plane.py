@@ -50,7 +50,6 @@ from repro.service import (
     execute_request,
 )
 from repro.utils.errors import ConfigurationError, ServiceError, TelemetryError
-from repro.workload.task import Task
 
 ALL_BUILDS = (
     YarnLimitsBuild(max_running_containers=4, max_queued_containers=8),
@@ -651,24 +650,3 @@ class TestCacheEviction:
         assert cache.stats.evictions == 1
         cache.clear()
         assert cache.stats == type(cache.stats)(hits=0, misses=0, size=0, evictions=0)
-
-
-# ----------------------------------------------------------------------
-# Tasks are plain values
-# ----------------------------------------------------------------------
-def _make_task():
-    return Task(
-        job_id=0,
-        stage_index=0,
-        operator="extract",
-        work_seconds=10.0,
-        data_bytes=1.0,
-        cpu_fraction=0.5,
-        ram_gb=1.0,
-        ssd_gb=1.0,
-    )
-
-
-class TestTaskValues:
-    def test_tasks_with_equal_fields_are_equal(self):
-        assert _make_task() == _make_task()

@@ -17,6 +17,8 @@ from repro.optim.simplex import simplex_solve
 from repro.stats.distributions import student_t_cdf
 from repro.telemetry.views import ecdf
 
+from tests.conftest import flush_record
+
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -147,7 +149,7 @@ class TestMachineIntegralProperties:
             machine.finish_task(horizon, cpu_fraction, 1.0, 5.0, 1e8,
                                 horizon - start)
             expected_container_seconds += horizon - start
-        record = machine.flush_hour(horizon, hour=0)
+        record = flush_record(machine, horizon, hour=0)
         assert record.avg_running_containers * 3600.0 == pytest.approx(
             expected_container_seconds, rel=1e-9
         )

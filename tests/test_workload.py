@@ -17,7 +17,6 @@ from repro.workload import (
     JobTemplate,
     SeasonalityProfile,
     StageSpec,
-    Task,
     WorkloadGenerator,
     benchmark_templates,
     default_templates,
@@ -44,32 +43,72 @@ class TestOperators:
         op = operator_by_name("Process")
         rng = np.random.default_rng(0)
         work, data, ram, ssd = sample_task_params(op, 20000, rng)
-        assert work.mean() == pytest.approx(op.work_mean_s, rel=0.05)
-        assert data.mean() == pytest.approx(op.data_mean_bytes, rel=0.05)
-        assert (ram > 0).all() and (ssd > 0).all()
+        assert np.mean(work) == pytest.approx(op.work_mean_s, rel=0.05)
+        assert np.mean(data) == pytest.approx(op.data_mean_bytes, rel=0.05)
+        assert min(ram) > 0 and min(ssd) > 0
 
     def test_work_scale_multiplies(self):
         op = operator_by_name("Process")
         rng = np.random.default_rng(0)
         work, *_ = sample_task_params(op, 20000, rng, work_scale=2.0)
-        assert work.mean() == pytest.approx(2.0 * op.work_mean_s, rel=0.05)
+        assert np.mean(work) == pytest.approx(2.0 * op.work_mean_s, rel=0.05)
 
     def test_zero_tasks_rejected(self):
         with pytest.raises(ValueError):
             sample_task_params(operator_by_name("Split"), 0, np.random.default_rng(0))
 
 
-class TestTask:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Task(0, 0, "Process", -1.0, 1e9, 0.8, 2.0, 10.0)
-        with pytest.raises(ValueError):
-            Task(0, 0, "Process", 10.0, 1e9, 1.5, 2.0, 10.0)
+class TestOneDrawSampler:
+    """``sample_task_params`` draws a stage's variates in one
+    ``standard_normal`` call and transforms them in Python. The result must
+    equal numpy's own ``lognormal``/``normal`` calls element by element, and
+    leave the generator in the same state, or every simulation changes."""
+
+    SCALES = ((1.0, 1.0), (0.25, 3.0), (4.0, 0.1), (1.7, 1.7))
+
+    @staticmethod
+    def _numpy_reference(op, n_tasks, rng, work_scale, data_scale):
+        work_mu = np.log(op.work_mean_s * work_scale) - op.work_sigma**2 / 2.0
+        data_mu = np.log(op.data_mean_bytes * data_scale) - op.data_sigma**2 / 2.0
+        work = rng.lognormal(mean=work_mu, sigma=op.work_sigma, size=n_tasks)
+        data = rng.lognormal(mean=data_mu, sigma=op.data_sigma, size=n_tasks)
+        ram = np.maximum(
+            0.25, rng.normal(op.ram_gb_per_container, op.ram_gb_per_container * 0.2, n_tasks)
+        )
+        ssd = np.maximum(
+            0.5, rng.normal(op.ssd_gb_per_container, op.ssd_gb_per_container * 0.2, n_tasks)
+        )
+        return work.tolist(), data.tolist(), ram.tolist(), ssd.tolist()
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.name)
+    def test_equals_numpy_lognormal_and_normal(self, op):
+        for work_scale, data_scale in self.SCALES:
+            for seed in range(10):
+                for n_tasks in (1, 2, 9, 64):
+                    ours = np.random.default_rng(seed)
+                    theirs = np.random.default_rng(seed)
+                    got = sample_task_params(op, n_tasks, ours, work_scale, data_scale)
+                    want = self._numpy_reference(
+                        op, n_tasks, theirs, work_scale, data_scale
+                    )
+                    assert got == want
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_floors_apply_like_numpy_maximum(self):
+        # A made-up operator whose RAM/SSD means sit at the floors, so
+        # about half of the draws are clamped.
+        low = dataclasses.replace(
+            operator_by_name("Process"), ram_gb_per_container=0.25, ssd_gb_per_container=0.5
+        )
+        got = sample_task_params(low, 200, np.random.default_rng(4))
+        want = self._numpy_reference(low, 200, np.random.default_rng(4), 1.0, 1.0)
+        assert got == want
+        assert 0.25 in got[2] and 0.5 in got[3]
 
 
 class TestStageMaterialization:
-    """``start_next_stage`` validates a stage's sampled arrays once, raising
-    exactly what constructing the offending ``Task`` directly would."""
+    """``start_next_stage`` validates a stage's draws once and hands out
+    ``(work_seconds, data_bytes, ram_gb, ssd_gb)`` rows."""
 
     N_TASKS = 4
 
@@ -82,32 +121,23 @@ class TestStageMaterialization:
         """Make the stage's last task draw ``work``/``data``; the rest are valid."""
 
         def sample(op, n_tasks, rng, work_scale=1.0, data_scale=1.0):
-            valid = np.full(n_tasks - 1, 10.0)
-            return (
-                np.append(valid, work), np.append(valid, data),
-                np.full(n_tasks, 2.0), np.full(n_tasks, 8.0),
-            )
+            valid = [10.0] * (n_tasks - 1)
+            return valid + [work], valid + [data], [2.0] * n_tasks, [8.0] * n_tasks
 
         monkeypatch.setattr(job_module, "sample_task_params", sample)
 
-    def _assert_same_error(self, job, direct_args) -> None:
-        with pytest.raises(ValueError) as direct:
-            Task(*direct_args)
+    def _assert_rejected(self, job, message: str) -> None:
         with pytest.raises(ValueError) as staged:
             job.start_next_stage(np.random.default_rng(1))
-        assert str(staged.value) == str(direct.value)
+        assert str(staged.value) == message
 
     def test_nonpositive_work_is_rejected(self, monkeypatch):
         self._sample_with_last(monkeypatch, work=0.0, data=1.0)
-        self._assert_same_error(
-            self._job(), (0, 0, "Process", 0.0, 1.0, 0.5, 2.0, 8.0)
-        )
+        self._assert_rejected(self._job(), "work_seconds must be positive")
 
     def test_negative_data_is_rejected(self, monkeypatch):
         self._sample_with_last(monkeypatch, work=10.0, data=-1.0)
-        self._assert_same_error(
-            self._job(), (0, 0, "Process", 10.0, -1.0, 0.5, 2.0, 8.0)
-        )
+        self._assert_rejected(self._job(), "data_bytes must be non-negative")
 
     @pytest.mark.parametrize("cpu_fraction", [0.0, 1.5])
     def test_cpu_fraction_outside_the_unit_interval_is_rejected(
@@ -118,20 +148,18 @@ class TestStageMaterialization:
         fields = dataclasses.asdict(operator_by_name("Process"))
         bad = SimpleNamespace(**{**fields, "cpu_fraction": cpu_fraction})
         monkeypatch.setattr(job_module, "operator_by_name", lambda name: bad)
-        self._assert_same_error(
-            self._job(), (0, 0, "Process", 10.0, 1.0, cpu_fraction, 2.0, 8.0)
-        )
+        self._assert_rejected(self._job(), "cpu_fraction must be in (0, 1]")
 
     def test_stage_tasks_equal_directly_constructed_tasks(self):
         job = self._job()
-        rng = np.random.default_rng(1)
-        tasks = job.start_next_stage(rng)
+        rows = job.start_next_stage(np.random.default_rng(1))
         op = operator_by_name("Process")
         work, data, ram, ssd = sample_task_params(op, self.N_TASKS, np.random.default_rng(1))
-        assert tasks == [
-            Task(3, 0, "Process", float(w), float(d), op.cpu_fraction, float(r), float(s))
-            for w, d, r, s in zip(work, data, ram, ssd)
-        ]
+        assert rows == list(zip(work, data, ram, ssd, strict=True))
+        # What the rows share lives on the job, for the stage's lifetime.
+        assert job.operator == "Process"
+        assert job.cpu_fraction == op.cpu_fraction
+        assert job.remaining_in_stage == self.N_TASKS
 
 
 class TestTemplates:
