@@ -1,8 +1,8 @@
 """Service bench: multi-tenant campaign wall-clock across execution backends.
 
-Runs the same four-tenant campaign three times — once on an inline (serial)
-:class:`~repro.service.SimulationPool`, once on a process pool, and once on
-the file-spooled :class:`~repro.service.LocalQueueBackend` — and reports the
+Runs the same four-tenant campaign three times — once inline on the
+:class:`~repro.service.SerialBackend`, once on a
+:class:`~repro.service.ProcessPoolBackend`, and once on the file-spooled :class:`~repro.service.LocalQueueBackend` — and reports the
 wall-clock of each mode. Tenant simulations are independent, so on a machine
 with N ≥ 2 cores the parallel run approaches the slowest tenant's time
 rather than the sum; the queue mode pays the same fan-out plus the spool's
@@ -23,9 +23,11 @@ from benchmarks.common import emit, emit_json
 from repro.cluster import small_fleet_spec
 from repro.service import (
     ContinuousTuningService,
+    ExecutionBackend,
     FleetRegistry,
     LocalQueueBackend,
-    SimulationPool,
+    ProcessPoolBackend,
+    SerialBackend,
     TenantSpec,
 )
 from repro.utils.tables import TextTable
@@ -46,10 +48,8 @@ def _registry() -> FleetRegistry:
     return registry
 
 
-def _run(max_workers: int):
-    with ContinuousTuningService(
-        _registry(), pool=SimulationPool(max_workers=max_workers)
-    ) as service:
+def _run(backend: ExecutionBackend):
+    with ContinuousTuningService(_registry(), backend=backend) as service:
         started = time.perf_counter()
         result = service.run_campaigns(scenario=SCENARIO, **CAMPAIGN_KW)
         elapsed = time.perf_counter() - started
@@ -85,15 +85,13 @@ def test_bench_service_campaign(benchmark):
     # for one-time costs (worker processes fork the warmed parent).
     warmup = FleetRegistry()
     warmup.add(TenantSpec(name="warmup", fleet_spec=small_fleet_spec(), seed=1))
-    with ContinuousTuningService(
-        warmup, pool=SimulationPool(max_workers=1)
-    ) as service:
+    with ContinuousTuningService(warmup, backend=SerialBackend()) as service:
         service.run_campaigns(
             scenario=SCENARIO, observe_days=0.25, impact_days=0.25, flight_hours=2.0
         )
 
-    serial_result, serial_s = _run(max_workers=1)
-    parallel_result, parallel_s = _run(max_workers=workers)
+    serial_result, serial_s = _run(SerialBackend())
+    parallel_result, parallel_s = _run(ProcessPoolBackend(max_workers=workers))
     queue_result, queue_s = _run_queue(workers=workers)
 
     # A backend must change timing only, never outcomes.

@@ -11,7 +11,7 @@ and then reads every layer of the plane back out:
 2. the simulator phase decomposition — every ``kea.simulate`` span splits
    into placement / event-processing / telemetry-rollup children, so the
    observe window's wall-clock is no longer one opaque number;
-3. the ops-metrics registry — cache traffic, pool fan-out, campaign phase
+3. the ops-metrics registry — cache traffic, backend fan-out, campaign phase
    durations as counters/gauges/histograms;
 4. the cost-of-tuning ledger — per phase, the simulated machine-hours the
    windows covered and the service wall-clock they burned;
@@ -29,7 +29,7 @@ from repro import (
     OPS_METRICS,
     ContinuousTuningService,
     FleetRegistry,
-    SimulationPool,
+    ProcessPoolBackend,
     TenantSpec,
     Tracer,
     read_trace_jsonl,
@@ -61,7 +61,7 @@ def main() -> None:
 
     tracer = Tracer(trace_id="tour/diurnal-baseline")
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=2), tracer=tracer
+        registry, backend=ProcessPoolBackend(max_workers=2), tracer=tracer
     ) as service:
         result = service.run_campaigns(
             scenario="diurnal-baseline",

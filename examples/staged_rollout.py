@@ -29,7 +29,7 @@ from repro import (
     ContinuousTuningService,
     FleetRegistry,
     RolloutPolicy,
-    SimulationPool,
+    SerialBackend,
     TenantSpec,
 )
 from repro.cluster import small_fleet_spec
@@ -111,7 +111,7 @@ def campaign_rollout() -> None:
         )
     )
     with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=1)
+        registry, backend=SerialBackend()
     ) as service:
         result = service.run_campaigns(
             scenario="sustained-overload",

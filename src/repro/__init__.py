@@ -96,7 +96,6 @@ from repro.service import (
     ScenarioCatalog,
     SerialBackend,
     SimulationCache,
-    SimulationPool,
     TenantSpec,
     default_catalog,
 )
@@ -154,7 +153,6 @@ __all__ = [
     "Scenario",
     "ScenarioCatalog",
     "SimulationCache",
-    "SimulationPool",
     "TenantSpec",
     "default_catalog",
 ]

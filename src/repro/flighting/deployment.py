@@ -27,11 +27,6 @@ start, never re-run as gated waves. Every applied wave additionally records a
 treatment effect (:attr:`RolloutWaveRecord.impact`): machines flighted so far
 vs machines not yet covered, measured on machine-hour throughput inside the
 wave's soak window via :func:`repro.stats.treatment.population_effect`.
-
-The legacy all-at-once :class:`~repro.cluster.config.YarnConfig` target path
-survives as a thin shim: :meth:`DeploymentModule.staged_plan` converts a
-target config into per-group :class:`~repro.flighting.build.YarnLimitsBuild`
-waves honouring the ±``max_step`` rule.
 """
 
 from __future__ import annotations
@@ -42,14 +37,12 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import GroupLimits, YarnConfig
 from repro.cluster.machine import Machine
 from repro.cluster.simulator import ClusterSimulator
 from repro.flighting.build import (
     ContainerDeltaBuild,
     FlightPlan,
     PlannedFlight,
-    YarnLimitsBuild,
 )
 from repro.flighting.safety import GateVerdict, LatencyRegressionGate, SafetyGate
 from repro.obs.metrics import OPS_METRICS
@@ -557,67 +550,14 @@ class RolloutExecution:
 
 
 class DeploymentModule:
-    """Executes staged rollouts, honoring the conservative ±`max_step` rule."""
+    """Executes staged rollouts on a simulator, wave by wave.
 
-    def __init__(self, cluster: Cluster, max_step: int = 1):
-        if max_step < 1:
-            raise ConfigurationError("max_step must be >= 1")
+    The conservative ±``max_step`` rule is enforced when a plan is staged,
+    by :attr:`RolloutPolicy.max_step`.
+    """
+
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self.max_step = max_step
-
-    # ------------------------------------------------------------------
-    # Plan construction
-    # ------------------------------------------------------------------
-    def clamp_to_step(self, target: YarnConfig) -> YarnConfig:
-        """Clamp per-group container changes to ±``max_step`` vs current."""
-        current = self.cluster.yarn_config
-        clamped = current.copy()
-        for key, limits in target.limits.items():
-            now = current.for_group(key).max_running_containers
-            desired = limits.max_running_containers
-            step = max(-self.max_step, min(self.max_step, desired - now))
-            clamped.limits[key] = GroupLimits(
-                max_running_containers=now + step,
-                max_queued_containers=limits.max_queued_containers,
-            )
-        return clamped
-
-    def staged_plan(
-        self,
-        target: YarnConfig,
-        start_hour: float = 0.0,
-        wave_gap_hours: float | None = None,
-        fractions: tuple[float, ...] = DEFAULT_WAVE_FRACTIONS,
-    ) -> RolloutPlan:
-        """Stage a legacy all-at-once ``YarnConfig`` target (thin shim).
-
-        The target is clamped to ±``max_step`` and decomposed into one
-        :class:`~repro.flighting.build.YarnLimitsBuild` per machine group
-        present in the cluster, then staged under the default wave schedule.
-        """
-        clamped = self.clamp_to_step(target)
-        entries = []
-        for key in sorted(self.cluster.machines_by_group()):
-            limits = clamped.for_group(key)
-            entries.append(
-                PlannedFlight(
-                    build=YarnLimitsBuild(
-                        max_running_containers=limits.max_running_containers,
-                        max_queued_containers=limits.max_queued_containers,
-                    ),
-                    group=key,
-                    name=f"rollout-{key.label}",
-                )
-            )
-        policy = RolloutPolicy(
-            fractions=fractions,
-            start_hour=start_hour,
-            wave_gap_hours=wave_gap_hours,
-            max_step=None,  # the target was already clamped above
-        )
-        # Group selectors are disjoint by construction; schedule/execute
-        # validates before anything deploys, so no extra fleet scan here.
-        return policy.plan(FlightPlan(entries=tuple(entries)))
 
     # ------------------------------------------------------------------
     # Execution on a simulator

@@ -2,8 +2,8 @@
 
 Distinct from :mod:`repro.telemetry.metrics`, which defines *fleet* metric
 extractors over machine-hour records (the paper's observation plane). This
-registry counts what the *service* does at runtime — cache hits, pool
-requests, campaign phase durations, rollout wave timings — as conventional
+registry counts what the *service* does at runtime — cache hits, backend
+batches, campaign phase durations, rollout wave timings — as conventional
 counters, gauges, and histograms.
 
 Histograms are bounded: they keep ``count/total/min/max`` rather than raw
@@ -93,7 +93,7 @@ class Histogram:
 class MetricsRegistry:
     """Label-aware get-or-create store of service metrics.
 
-    ``counter("pool.requests", kind="observe")`` returns the same
+    ``counter("backend.failures", kind="observe")`` returns the same
     :class:`Counter` on every call with the same name and labels; asking for
     an existing name with a different metric type is an error rather than a
     silent shadow.

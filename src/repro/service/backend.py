@@ -1,15 +1,14 @@
 """Pluggable execution backends: where a beat's simulation batch runs.
 
-The tuning service used to hard-code one :class:`~repro.service.pool.
-SimulationPool`. Production KEA dispatches the same work to whatever
-substrate the deployment offers — an in-process loop, a process pool, a
-durable task queue drained by restartable workers — so the service now
-schedules through an :class:`ExecutionBackend`:
+Production KEA dispatches the same work to whatever substrate the
+deployment offers — an in-process loop, a process pool, a durable task
+queue drained by restartable workers — so the service schedules through an
+:class:`ExecutionBackend`, one class per substrate:
 
 * :class:`SerialBackend` — strictly inline execution in the calling
-  process: the bit-identity reference and the zero-dependency fallback;
-* :class:`ProcessPoolBackend` — wraps :class:`~repro.service.pool.
-  SimulationPool`, fanning batches over worker processes (the default);
+  process: the bit-identity reference and the service's default;
+* :class:`ProcessPoolBackend` — fans batches over a lazily created
+  ``concurrent.futures`` process pool (``max_workers=1`` runs inline);
 * :class:`LocalQueueBackend` — persists every
   :class:`~repro.service.pool.SimulationRequest` as a file in a spool
   directory and drains it with restartable worker *processes* that claim
@@ -17,15 +16,16 @@ schedules through an :class:`ExecutionBackend`:
   mid-batch; re-running the batch reuses every result that already landed
   in ``done/`` and re-executes only what is missing.
 
-All three honour the pool's salvage contract: a failing request never
-destroys its siblings — the batch runs to completion, then a
+All three honour one salvage contract: a failing request never destroys
+its siblings — the batch runs to completion, then a
 :class:`~repro.service.pool.SimulationBatchError` carries the completed
-outcomes (None at failed slots) and the (request, exception) pairs.
+outcomes (None at failed slots) and the (request, exception) pairs. All
+three record the same ``backend.*`` metrics, labelled by backend name.
 Because every request is a self-contained picklable recipe executed by
 :func:`~repro.service.pool.execute_request`, the three backends are
 bit-identical: same requests in, same outcomes out, wherever they ran.
-Worker-side span trees ride back on ``outcome.timing.trace`` exactly as
-they do from the pool, so the orchestrator's beat trace is backend-agnostic.
+Worker-side span trees ride back on ``outcome.timing.trace``, so the
+orchestrator's beat trace is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from hashlib import sha256
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from repro.obs.metrics import OPS_METRICS
 from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     execute_request,
 )
@@ -61,8 +61,8 @@ __all__ = [
 class ExecutionBackend(abc.ABC):
     """Where the service's simulation batches execute.
 
-    The contract mirrors :meth:`SimulationPool.run`: preserve input order,
-    run a poisoned batch to completion, then raise
+    The contract: preserve input order, run a poisoned batch to
+    completion, then raise
     :class:`~repro.service.pool.SimulationBatchError` with the siblings'
     outcomes attached. ``executed`` counts requests actually simulated
     (cache hits never reach a backend; a queue backend reusing a spooled
@@ -130,6 +130,18 @@ class ExecutionBackend(abc.ABC):
             ) from exc
         return outcomes  # type: ignore[return-value]
 
+    def _run_inline(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
+        """Execute a batch in the calling process, one request at a time."""
+        outcomes: list[SimulationOutcome | None] = []
+        failures: list[tuple[SimulationRequest, Exception]] = []
+        for request in requests:
+            try:
+                outcomes.append(execute_request(request))
+            except Exception as exc:  # re-raised by _finish_batch
+                outcomes.append(None)
+                failures.append((request, exc))
+        return self._finish_batch(outcomes, failures)
+
 
 class SerialBackend(ExecutionBackend):
     """Strictly inline execution in the calling process.
@@ -155,47 +167,93 @@ class SerialBackend(ExecutionBackend):
         with self._lock:
             self._executed += len(requests)
         self._record_batch(requests)
-        outcomes: list[SimulationOutcome | None] = []
-        failures: list[tuple[SimulationRequest, Exception]] = []
-        for request in requests:
-            try:
-                outcomes.append(execute_request(request))
-            except Exception as exc:  # re-raised by _finish_batch
-                outcomes.append(None)
-                failures.append((request, exc))
-        return self._finish_batch(outcomes, failures)
+        return self._run_inline(requests)
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Delegates batches to a :class:`~repro.service.pool.SimulationPool`.
+    """Fans batches out over a ``concurrent.futures`` process pool.
 
-    The default backend — today's behaviour, behind the protocol. Accepts
-    an existing pool (the service's historical ``pool=`` argument threads
-    through here) or builds one from ``max_workers``.
+    ``max_workers=1`` executes inline; ``None`` uses every available core.
+    A one-request batch also runs inline. The executor is created lazily on
+    the first parallel batch and released by :meth:`shutdown`; the backend
+    stays usable afterwards and rebuilds it on demand. A worker that dies
+    breaks the executor: its batch fails through the salvage contract, and
+    the broken executor is discarded so the next batch starts a fresh one.
     """
 
     name = "process-pool"
 
-    def __init__(
-        self,
-        pool: SimulationPool | None = None,
-        max_workers: int | None = None,
-    ) -> None:
-        if pool is not None and max_workers is not None:
-            raise ServiceError("pass either an existing pool or max_workers, not both")
-        self.pool = pool if pool is not None else SimulationPool(max_workers=max_workers)
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
+        if max_workers < 1:
+            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
+        self.max_workers = max_workers
+        self._executed = 0
+        self._executor: ProcessPoolExecutor | None = None
+        # Guards lazy executor creation and release: sharded front-ends may
+        # drive one backend from several threads, and shutdown must be safe
+        # to call twice even if the first call raised mid-release.
+        self._lock = threading.Lock()
 
     @property
     def executed(self) -> int:
-        return self.pool.executed
+        return self._executed
 
     def run(self, requests: list[SimulationRequest]) -> list[SimulationOutcome]:
-        if requests:
-            self._record_batch(requests)
-        return self.pool.run(requests)
+        if not requests:
+            return []
+        with self._lock:
+            self._executed += len(requests)
+        self._record_batch(requests)
+        if self.max_workers == 1 or len(requests) == 1:
+            return self._run_inline(requests)
+        with self._lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
+            executor = self._executor
+        futures = [self._submit(executor, request) for request in requests]
+        outcomes: list[SimulationOutcome | None] = []
+        failures: list[tuple[SimulationRequest, Exception]] = []
+        for request, future in zip(requests, futures, strict=True):
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # re-raised by _finish_batch
+                outcomes.append(None)
+                failures.append((request, exc))
+        if any(isinstance(exc, BrokenExecutor) for _request, exc in failures):
+            self._discard(executor)
+        return self._finish_batch(outcomes, failures)
+
+    @staticmethod
+    def _submit(executor: ProcessPoolExecutor, request: SimulationRequest) -> Future:
+        """Submit one request; a refused submit becomes a failed future."""
+        try:
+            return executor.submit(execute_request, request)
+        except RuntimeError as exc:  # the executor is broken or shut down
+            refused: Future = Future()
+            refused.set_exception(exc)
+            return refused
+
+    def _discard(self, executor: ProcessPoolExecutor) -> None:
+        """Detach a broken executor (if still current) and release it."""
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        executor.shutdown()
 
     def shutdown(self) -> None:
-        self.pool.shutdown()
+        """Release the worker processes (idempotent and thread-safe).
+
+        The executor reference is detached *before* its release runs, so a
+        second call — from another thread, an ``__exit__`` after an explicit
+        ``close()``, or a retry after a failed batch — is a guaranteed no-op
+        even if the first release raised partway through.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
 
 def queue_task_id(request: SimulationRequest) -> str:

@@ -3,8 +3,8 @@
 :class:`ContinuousTuningService` is the top of the subsystem: it owns a
 :class:`~repro.service.registry.FleetRegistry` of tenants, a
 :class:`~repro.service.scenarios.ScenarioCatalog`, an
-:class:`~repro.service.backend.ExecutionBackend` (an in-process pool by
-default; serial and file-spooled queue backends plug in the same way), a
+:class:`~repro.service.backend.ExecutionBackend` (inline by default;
+process-pool and file-spooled queue backends plug in the same way), a
 :class:`~repro.service.cache.SimulationCache`, and optionally a
 :class:`~repro.service.store.CampaignStore`. One call to
 :meth:`~ContinuousTuningService.run_campaigns` drives every selected tenant
@@ -41,13 +41,12 @@ from repro.flighting.deployment import RolloutCheckpoint
 from repro.obs.ledger import TuningCostLedger
 from repro.obs.metrics import OPS_METRICS
 from repro.obs.trace import NULL_TRACER, Tracer, activate
-from repro.service.backend import ExecutionBackend, ProcessPoolBackend
+from repro.service.backend import ExecutionBackend, SerialBackend
 from repro.service.cache import CacheStats, SimulationCache
 from repro.service.campaign import Campaign, CampaignGuardrails, CampaignReport
 from repro.service.pool import (
     SimulationBatchError,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
 )
 from repro.service.registry import FleetRegistry
@@ -191,7 +190,7 @@ class FleetCampaignReport:
         return sum(r.rollbacks for r in self.reports.values())
 
     def summary(self) -> str:
-        """Fleet-wide table plus cache/pool accounting."""
+        """Fleet-wide table plus cache/backend accounting."""
         table = TextTable(
             ["tenant", "application", "outcome", "rounds", "deployed",
              "rolled back", "capacity"],
@@ -314,7 +313,6 @@ class ContinuousTuningService:
         self,
         registry: FleetRegistry,
         catalog: ScenarioCatalog | None = None,
-        pool: SimulationPool | None = None,
         cache: SimulationCache | None = None,
         guardrails: CampaignGuardrails | None = None,
         cache_budget_mb: float = DEFAULT_CACHE_BUDGET_MB,
@@ -322,11 +320,6 @@ class ContinuousTuningService:
         backend: ExecutionBackend | None = None,
         store: CampaignStore | None = None,
     ):
-        if backend is not None and pool is not None:
-            raise ServiceError(
-                "pass either backend= or pool=, not both (a pool is wrapped "
-                "in a ProcessPoolBackend automatically)"
-            )
         self.registry = registry
         #: The observability tracer every beat records to. The default
         #: NULL_TRACER disables tracing at near-zero cost; pass a
@@ -340,14 +333,9 @@ class ContinuousTuningService:
         # A fresh catalog per service: ScenarioCatalog is mutable, and two
         # services must not see each other's registered scenarios.
         self.catalog = catalog if catalog is not None else default_catalog()
-        #: Where simulation batches execute. ``pool=`` remains the
-        #: historical shorthand for a :class:`ProcessPoolBackend`.
+        #: Where simulation batches execute (inline unless told otherwise).
         self.backend: ExecutionBackend = (
-            backend
-            if backend is not None
-            else ProcessPoolBackend(
-                pool=pool if pool is not None else SimulationPool(max_workers=1)
-            )
+            backend if backend is not None else SerialBackend()
         )
         #: Durable campaign state. When set, every campaign is persisted at
         #: launch and after every advance, and :meth:`resume_campaigns`
@@ -369,16 +357,6 @@ class ContinuousTuningService:
         self.guardrails = guardrails
         self._runs: dict[str, _FleetRun] = {}
         self._run_seq = 0
-
-    @property
-    def pool(self) -> SimulationPool:
-        """The backend's simulation pool (pool-backed services only)."""
-        pool = getattr(self.backend, "pool", None)
-        if pool is None:
-            raise ServiceError(
-                f"backend {self.backend.name!r} has no simulation pool"
-            )
-        return pool
 
     def resolve_scenario(self, scenario: str | Scenario) -> Scenario:
         """Accept a scenario by name (via the catalog) or by value."""

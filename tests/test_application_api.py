@@ -41,8 +41,9 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
     Scenario,
-    SimulationPool,
+    SerialBackend,
     TenantSpec,
 )
 from repro.service.pool import execute_request
@@ -296,10 +297,8 @@ def queue_registry() -> FleetRegistry:
     return registry
 
 
-def run_queue_campaign(max_workers: int):
-    with ContinuousTuningService(
-        queue_registry(), pool=SimulationPool(max_workers=max_workers)
-    ) as service:
+def run_queue_campaign(backend):
+    with ContinuousTuningService(queue_registry(), backend=backend) as service:
         return service.run_campaigns(
             scenario=QUEUE_CAMPAIGN_SCENARIO, **QUEUE_CAMPAIGN_KW
         )
@@ -307,7 +306,7 @@ def run_queue_campaign(max_workers: int):
 
 @pytest.fixture(scope="module")
 def queue_serial_run():
-    return run_queue_campaign(max_workers=1)
+    return run_queue_campaign(SerialBackend())
 
 
 class TestApplicationCampaigns:
@@ -337,7 +336,7 @@ class TestApplicationCampaigns:
             assert "queue" in flight_report.flight_name
 
     def test_queue_campaign_parallel_matches_serial(self, queue_serial_run):
-        parallel = run_queue_campaign(max_workers=2)
+        parallel = run_queue_campaign(ProcessPoolBackend(max_workers=2))
         serial_report = queue_serial_run.reports["queues"]
         parallel_report = parallel.reports["queues"]
         assert parallel_report.final_phase == serial_report.final_phase

@@ -1,8 +1,8 @@
 """Tests for the build-native staged deployment module.
 
 Covers the wave-based rollout API — :class:`RolloutPolicy` schedules,
-fractional-wave validation (incl. the overlapping-selector error), clamping,
-the legacy ``YarnConfig``-target shim — and execution on the simulator:
+fractional-wave validation (incl. the overlapping-selector error), the
+±``max_step`` clamp — and execution on the simulator:
 progressive coverage, between-wave gates, and mid-rollout rollback restoring
 the fleet bit-identically across multiple build types.
 """
@@ -10,7 +10,6 @@ the fleet bit-identically across multiple build types.
 import pytest
 
 from repro.cluster import ClusterSimulator, build_cluster, small_fleet_spec
-from repro.cluster.config import GroupLimits, YarnConfig
 from repro.flighting.build import (
     ContainerDeltaBuild,
     FlightPlan,
@@ -34,16 +33,6 @@ from repro.workload import WorkloadGenerator, default_templates
 @pytest.fixture()
 def cluster():
     return build_cluster(small_fleet_spec())
-
-
-def bump_all(config: YarnConfig, delta: int) -> YarnConfig:
-    new = config.copy()
-    for key, limits in config.limits.items():
-        new.limits[key] = GroupLimits(
-            max_running_containers=limits.max_running_containers + delta,
-            max_queued_containers=limits.max_queued_containers,
-        )
-    return new
 
 
 def delta_plan(cluster, delta: int = 1, policy: RolloutPolicy | None = None):
@@ -89,36 +78,6 @@ class FailBeforeWave(SafetyGate):
 
 
 class TestClamping:
-    def test_clamp_limits_step_to_one(self, cluster):
-        module = DeploymentModule(cluster, max_step=1)
-        target = bump_all(cluster.yarn_config, +5)
-        clamped = module.clamp_to_step(target)
-        for key in cluster.yarn_config.limits:
-            before = cluster.yarn_config.for_group(key).max_running_containers
-            assert clamped.for_group(key).max_running_containers == before + 1
-
-    def test_clamp_respects_direction_down(self, cluster):
-        module = DeploymentModule(cluster, max_step=2)
-        target = bump_all(cluster.yarn_config, -7)
-        clamped = module.clamp_to_step(target)
-        for key in cluster.yarn_config.limits:
-            before = cluster.yarn_config.for_group(key).max_running_containers
-            assert clamped.for_group(key).max_running_containers == before - 2
-
-    def test_small_changes_pass_through(self, cluster):
-        module = DeploymentModule(cluster, max_step=3)
-        target = bump_all(cluster.yarn_config, +1)
-        clamped = module.clamp_to_step(target)
-        for key in cluster.yarn_config.limits:
-            assert (
-                clamped.for_group(key).max_running_containers
-                == target.for_group(key).max_running_containers
-            )
-
-    def test_max_step_validated(self, cluster):
-        with pytest.raises(ConfigurationError):
-            DeploymentModule(cluster, max_step=0)
-
     def test_policy_clamps_container_delta_builds(self, cluster):
         groups = sorted(cluster.machines_by_group())
         plan = RolloutPolicy(max_step=1).plan(
@@ -328,36 +287,6 @@ class TestRolloutPlanValidation:
         )
         with pytest.raises(ConfigurationError, match="overlapping selectors"):
             plan.validate(cluster)
-
-
-class TestLegacyShim:
-    def test_yarn_target_stages_per_group_builds(self, cluster):
-        module = DeploymentModule(cluster, max_step=1)
-        target = bump_all(cluster.yarn_config, +5)
-        plan = module.staged_plan(target)
-        groups = sorted(cluster.machines_by_group())
-        assert len(plan.waves) == len(DEFAULT_WAVE_FRACTIONS)
-        for wave in plan:
-            assert len(wave.entries) == len(groups)
-            assert all(isinstance(e.build, YarnLimitsBuild) for e in wave.entries)
-        # The ±max_step rule still applies: the staged limits are current+1.
-        by_group = {e.group: e.build for e in plan.waves[0].entries}
-        for key in groups:
-            current = cluster.yarn_config.for_group(key).max_running_containers
-            assert by_group[key].max_running_containers == current + 1
-
-    def test_yarn_target_rollout_reaches_the_target(self, cluster):
-        module = DeploymentModule(cluster, max_step=1)
-        target = bump_all(cluster.yarn_config, +1)
-        plan = module.staged_plan(target)
-        simulator = make_simulator(cluster)
-        execution = module.execute(
-            simulator, plan, 10.0, gate=FailBeforeWave(fail_on_evaluation=99)
-        )
-        assert execution.completed and not execution.reverted
-        for machine in cluster.machines:
-            expected = target.for_group(machine.group_key).max_running_containers
-            assert machine.max_running_containers == expected
 
 
 class TestRolloutExecution:

@@ -5,11 +5,15 @@ salvage contract, spool reuse, worker-crash redrain), the persistent
 campaign store (atomic versioned records, round trips, checkpoint harvest),
 crash-resume bit-identity across every backend, the non-blocking
 submit/poll/drain front-end with tenant-sharded dispatch, seeding a fresh
-campaign from a harvested checkpoint, and the pool's idempotent shutdown.
+campaign from a harvested checkpoint, the process pool's idempotent shutdown
+and its recovery from a dead worker, and the one ``backend.*`` metric
+namespace every backend records to.
 """
 
 import os
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -31,7 +35,6 @@ from repro.service import (
     Scenario,
     SerialBackend,
     SimulationBatchError,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -129,8 +132,8 @@ def reference_run():
 # ----------------------------------------------------------------------
 class TestBackendContract:
     def test_construction_validation(self, tmp_path):
-        with pytest.raises(ServiceError, match="not both"):
-            ProcessPoolBackend(pool=SimulationPool(max_workers=1), max_workers=2)
+        with pytest.raises(ServiceError, match="max_workers"):
+            ProcessPoolBackend(max_workers=0)
         with pytest.raises(ServiceError, match="workers"):
             LocalQueueBackend(tmp_path / "spool", workers=0)
         with pytest.raises(ServiceError, match="max_attempts"):
@@ -142,13 +145,13 @@ class TestBackendContract:
             assert backend.run([]) == []
             assert backend.executed == 0
 
-    @pytest.mark.parametrize("kind", ["serial", "queue"])
+    @pytest.mark.parametrize("kind", ["serial", "pool", "queue"])
     def test_one_failing_request_does_not_destroy_its_siblings(
         self, kind, tmp_path_factory
     ):
-        """The pool's salvage contract holds on the other backends too:
-        the batch runs to completion, the error names the failed request,
-        and the siblings' outcomes ride along at their original slots."""
+        """The salvage contract holds on every backend: the batch runs to
+        completion, the error names the failed request, and the siblings'
+        outcomes ride along at their original slots."""
         siblings = [observe_request(tag=f"sibling/{kind}/{i}") for i in range(2)]
         batch = [siblings[0], poisoned_request(), siblings[1]]
         with make_backend(kind, tmp_path_factory) as backend:
@@ -156,7 +159,7 @@ class TestBackendContract:
                 backend.run(batch)
             assert backend.executed == 3
             error = err.value
-            assert "tenant='poison'" in str(error)
+            assert "tenant='poison', kind='observe'" in str(error)
             assert len(error.outcomes) == 3
             assert error.outcomes[0] is not None and error.outcomes[2] is not None
             assert error.outcomes[1] is None
@@ -170,14 +173,29 @@ class TestBackendContract:
             assert again.workload_tag == salvaged.workload_tag
             assert again.records == salvaged.records
 
-    def test_process_pool_backend_wraps_an_existing_pool(self):
-        pool = SimulationPool(max_workers=1)
-        backend = ProcessPoolBackend(pool=pool)
-        assert backend.pool is pool
-        with backend:
-            (outcome,) = backend.run([observe_request(tag="wrap/probe")])
-        assert outcome.kind == "observe"
-        assert backend.executed == pool.executed == 1
+    def test_a_single_worker_pool_runs_inline(self):
+        batch = [observe_request(tag=f"inline/{i}") for i in range(2)]
+        with ProcessPoolBackend(max_workers=1) as backend:
+            got = backend.run(batch)
+            assert backend._executor is None  # no worker process started
+        want = SerialBackend().run(batch)
+        assert [o.records for o in got] == [o.records for o in want]
+
+    def test_every_backend_records_one_metric_namespace(self, tmp_path_factory):
+        """Batch counts and request timings land under ``backend.*`` with
+        the backend's name as a label, whichever backend ran the batch."""
+        batch = [observe_request(tag=f"metrics/{i}") for i in range(2)]
+        for kind in ("serial", "pool", "queue"):
+            with make_backend(kind, tmp_path_factory) as backend:
+                batches = OPS_METRICS.counter("backend.batches", backend=backend.name)
+                seconds = OPS_METRICS.histogram(
+                    "backend.request_seconds", backend=backend.name, kind="observe"
+                )
+                batches_before, timed_before = batches.value, seconds.count
+                backend.run(batch)
+                assert batches.value == batches_before + 1, kind
+                assert seconds.count == timed_before + 2, kind
+        assert not [n for n in OPS_METRICS.names() if n.startswith("pool.")]
 
 
 # ----------------------------------------------------------------------
@@ -571,23 +589,23 @@ class TestResumeSeed:
 
 
 # ----------------------------------------------------------------------
-# Pool shutdown: idempotent, safe after a failed batch
+# Pool shutdown: idempotent, safe after a failed batch or a dead worker
 # ----------------------------------------------------------------------
 class TestPoolShutdown:
     def test_shutdown_is_idempotent_and_safe_after_a_failed_batch(self):
-        pool = SimulationPool(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         with pytest.raises(SimulationBatchError):
-            pool.run([observe_request(tag="shutdown/a"), poisoned_request()])
-        pool.shutdown()
-        pool.shutdown()  # second release must be a no-op, not a crash
-        pool.close()
-        # The pool stays usable: the executor is rebuilt lazily.
-        (outcome,) = pool.run([observe_request(tag="shutdown/b")])
+            backend.run([observe_request(tag="shutdown/a"), poisoned_request()])
+        backend.shutdown()
+        backend.shutdown()  # second release must be a no-op, not a crash
+        backend.close()
+        # The backend stays usable: the executor is rebuilt lazily.
+        (outcome,) = backend.run([observe_request(tag="shutdown/b")])
         assert outcome.kind == "observe"
-        assert pool.executed == 3
-        with pool:
+        assert backend.executed == 3
+        with backend:
             pass  # context-manager exit after an explicit close is safe
-        pool.shutdown()
+        backend.shutdown()
 
     def test_backend_close_aliases_are_idempotent(self, tmp_path):
         for backend in (
@@ -598,3 +616,26 @@ class TestPoolShutdown:
             backend.shutdown()
             backend.close()
             backend.shutdown()
+
+    def test_a_killed_worker_fails_one_batch_then_the_pool_recovers(self):
+        """A SIGKILLed worker breaks the executor. The next batch fails
+        through the salvage contract (not with a raw ``BrokenProcessPool``
+        from ``submit``), and the batch after it runs on a fresh executor."""
+        batch = [observe_request(tag=f"killed/{i}") for i in range(2)]
+        with ProcessPoolBackend(max_workers=2) as backend:
+            backend.run([observe_request(tag="killed/warm"), observe_request()])
+            executor = backend._executor
+            victim = next(iter(executor._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            # Wait until the executor knows it is broken, so the next batch
+            # meets a refused submit rather than racing the detection.
+            deadline = time.monotonic() + 30
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken
+            with pytest.raises(SimulationBatchError) as err:
+                backend.run(batch)
+            assert len(err.value.failures) == len(batch)
+            got = backend.run(batch)
+        want = SerialBackend().run(batch)
+        assert [o.records for o in got] == [o.records for o in want]

@@ -33,11 +33,12 @@ from repro.service import (
     ContinuousTuningService,
     FleetRegistry,
     OutcomeTiming,
+    ProcessPoolBackend,
     Scenario,
+    SerialBackend,
     SimulationBatchError,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     execute_request,
@@ -213,10 +214,10 @@ class TestSpanTracing:
 class TestOpsMetrics:
     def test_counter_gauge_histogram(self):
         registry = MetricsRegistry()
-        counter = registry.counter("pool.batches")
+        counter = registry.counter("backend.batches")
         counter.inc()
         counter.inc(2.0)
-        assert registry.counter("pool.batches") is counter
+        assert registry.counter("backend.batches") is counter
         assert counter.value == 3.0
         with pytest.raises(ValueError):
             counter.inc(-1.0)
@@ -226,7 +227,7 @@ class TestOpsMetrics:
         gauge.add(-2)
         assert gauge.value == 3.0
 
-        histogram = registry.histogram("pool.request_seconds")
+        histogram = registry.histogram("backend.request_seconds")
         assert histogram.mean == 0.0
         for value in (1.0, 3.0):
             histogram.observe(value)
@@ -236,16 +237,16 @@ class TestOpsMetrics:
 
     def test_labels_partition_and_type_clashes_fail(self):
         registry = MetricsRegistry()
-        observe = registry.counter("pool.failures", kind="observe")
-        flight = registry.counter("pool.failures", kind="flight")
+        observe = registry.counter("backend.failures", kind="observe")
+        flight = registry.counter("backend.failures", kind="flight")
         assert observe is not flight
         observe.inc()
-        assert registry.get("pool.failures", kind="observe").value == 1.0
-        assert registry.get("pool.failures", kind="flight").value == 0.0
-        assert registry.get("pool.failures", kind="impact") is None
+        assert registry.get("backend.failures", kind="observe").value == 1.0
+        assert registry.get("backend.failures", kind="flight").value == 0.0
+        assert registry.get("backend.failures", kind="impact") is None
         with pytest.raises(TypeError):
-            registry.gauge("pool.failures", kind="observe")
-        assert "pool.failures{kind=flight}" in registry.names()
+            registry.gauge("backend.failures", kind="observe")
+        assert "backend.failures{kind=flight}" in registry.names()
 
     def test_snapshot_and_summary(self):
         registry = MetricsRegistry()
@@ -392,9 +393,8 @@ class TestPoolTiming:
 
     def test_worker_spans_cross_the_process_boundary(self):
         requests = [make_request(tag="xproc/a"), make_request(tag="xproc/b")]
-        with SimulationPool(max_workers=2) as pool:
-            assert pool.parallel
-            outcomes = pool.run(requests)
+        with ProcessPoolBackend(max_workers=2) as backend:
+            outcomes = backend.run(requests)
         tracer = Tracer(trace_id="beat")
         with tracer.span("pool.batch") as batch:
             for outcome in outcomes:
@@ -418,9 +418,8 @@ class TestPoolTiming:
     def test_salvaged_siblings_carry_timing(self):
         siblings = [make_request(tag=f"salvage/{i}") for i in range(2)]
         batch = [siblings[0], make_poisoned_request(), siblings[1]]
-        with SimulationPool(max_workers=1) as pool:
-            with pytest.raises(SimulationBatchError) as excinfo:
-                pool.run(batch)
+        with pytest.raises(SimulationBatchError) as excinfo:
+            SerialBackend().run(batch)
         salvaged = [o for o in excinfo.value.outcomes if o is not None]
         assert len(salvaged) == 2
         for outcome in salvaged:
@@ -451,26 +450,24 @@ class TestPoolTiming:
 # ----------------------------------------------------------------------
 # Traced campaigns: decomposition, bit-identity, cost accounting
 # ----------------------------------------------------------------------
-def run_traced_campaign(max_workers: int):
+def run_traced_campaign(backend):
     registry = FleetRegistry()
     registry.add(TenantSpec(name="east", fleet_spec=small_fleet_spec(), seed=11))
     registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
-    tracer = Tracer(trace_id=f"campaign/workers-{max_workers}")
-    with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=max_workers), tracer=tracer
-    ) as service:
+    tracer = Tracer(trace_id=f"campaign/{backend.name}")
+    with ContinuousTuningService(registry, backend=backend, tracer=tracer) as service:
         result = service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
     return tracer, result
 
 
 @pytest.fixture(scope="module")
 def traced_serial():
-    return run_traced_campaign(max_workers=1)
+    return run_traced_campaign(SerialBackend())
 
 
 @pytest.fixture(scope="module")
 def traced_pooled():
-    return run_traced_campaign(max_workers=2)
+    return run_traced_campaign(ProcessPoolBackend(max_workers=2))
 
 
 class TestTracedCampaign:
@@ -567,6 +564,8 @@ class TestTracedCampaign:
 
     def test_ops_metrics_populated_by_the_run(self, traced_serial):
         _tracer, _result = traced_serial
-        assert OPS_METRICS.counter("pool.batches").value >= 1
-        assert OPS_METRICS.histogram("pool.batch_fanout").count >= 1
+        assert OPS_METRICS.counter("backend.batches", backend="serial").value >= 1
+        assert (
+            OPS_METRICS.histogram("backend.batch_fanout", backend="serial").count >= 1
+        )
         assert OPS_METRICS.histogram("campaign.phase_seconds", phase="observe").count >= 1

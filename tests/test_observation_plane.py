@@ -42,9 +42,10 @@ from repro.service import (
     CampaignPhase,
     ContinuousTuningService,
     FleetRegistry,
+    ProcessPoolBackend,
+    SerialBackend,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     execute_request,
@@ -439,7 +440,7 @@ class TestApplicationFlightPlans:
 QUEUE_KW = dict(observe_days=0.5, impact_days=0.5, flight_hours=8.0)
 
 
-def run_queue_campaign(max_workers: int):
+def run_queue_campaign(backend):
     registry = FleetRegistry()
     registry.add(
         TenantSpec(
@@ -449,15 +450,13 @@ def run_queue_campaign(max_workers: int):
             application="queue-tuning",
         )
     )
-    with ContinuousTuningService(
-        registry, pool=SimulationPool(max_workers=max_workers)
-    ) as service:
+    with ContinuousTuningService(registry, backend=backend) as service:
         return service.run_campaigns(scenario="sustained-overload", **QUEUE_KW)
 
 
 @pytest.fixture(scope="module")
 def queue_serial_run():
-    return run_queue_campaign(max_workers=1)
+    return run_queue_campaign(SerialBackend())
 
 
 class TestQueueCampaignFlights:
@@ -484,7 +483,7 @@ class TestQueueCampaignFlights:
         assert report.capacity_after == report.capacity_before
 
     def test_pooled_run_is_bit_identical_to_serial(self, queue_serial_run):
-        pooled = run_queue_campaign(max_workers=2)
+        pooled = run_queue_campaign(ProcessPoolBackend(max_workers=2))
         serial_report = queue_serial_run.reports["queues"]
         pooled_report = pooled.reports["queues"]
         assert pooled_report.final_phase == serial_report.final_phase
@@ -542,9 +541,7 @@ class TestSkuDesignThroughThePool:
                 application="sku-design",
             )
         )
-        with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
-        ) as service:
+        with ContinuousTuningService(registry, backend=SerialBackend()) as service:
             first = service.run_campaigns(
                 scenario="diurnal-baseline", observe_days=0.5
             )

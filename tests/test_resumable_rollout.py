@@ -29,8 +29,9 @@ from repro.flighting.safety import GateVerdict, SafetyGate
 from repro.service import (
     Campaign,
     CampaignPhase,
+    ProcessPoolBackend,
+    SerialBackend,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -717,9 +718,7 @@ class TestResumeThroughThePool:
         )
 
     def test_serial_equals_pooled_bit_identically(self, resume_request):
-        with SimulationPool(max_workers=1) as serial, SimulationPool(
-            max_workers=2
-        ) as pooled:
+        with SerialBackend() as serial, ProcessPoolBackend(max_workers=2) as pooled:
             (serial_outcome,) = serial.run([resume_request])
             (pooled_outcome, clone_outcome) = pooled.run(
                 [resume_request, resume_request]
@@ -737,8 +736,8 @@ class TestResumeThroughThePool:
             )
 
     def test_resume_outcome_restores_then_widens(self, resume_request):
-        with SimulationPool(max_workers=1) as pool:
-            (outcome,) = pool.run([resume_request])
+        with SerialBackend() as backend:
+            (outcome,) = backend.run([resume_request])
         waves = outcome.rollout_waves
         assert waves[0].resumed and not waves[0].applied
         assert all(w.applied for w in waves[1:])

@@ -2,8 +2,8 @@
 
 Covers the campaign state machine (transitions, significance gates, rollback
 on regressing deployments), the simulation cache (hits avoid re-simulation),
-and the parallel pool (a multi-tenant parallel run is bit-identical to a
-serial run of the same campaigns).
+and the execution backends (a multi-tenant parallel run is bit-identical to
+a serial run of the same campaigns).
 """
 
 import numpy as np
@@ -25,9 +25,9 @@ from repro.service import (
     ProcessPoolBackend,
     Scenario,
     SerialBackend,
+    SimulationBatchError,
     SimulationCache,
     SimulationOutcome,
-    SimulationPool,
     SimulationRequest,
     TenantSpec,
     config_fingerprint,
@@ -107,9 +107,7 @@ def assert_fleet_reports_identical(got, want):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serial_service():
-    service = ContinuousTuningService(
-        make_registry(), pool=SimulationPool(max_workers=1)
-    )
+    service = ContinuousTuningService(make_registry(), backend=SerialBackend())
     yield service
     service.close()
 
@@ -122,9 +120,8 @@ def serial_run(serial_service):
 @pytest.fixture(scope="module")
 def parallel_run():
     with ContinuousTuningService(
-        make_registry(), pool=SimulationPool(max_workers=2)
+        make_registry(), backend=ProcessPoolBackend(max_workers=2)
     ) as service:
-        assert service.pool.parallel
         yield service.run_campaigns(scenario="diurnal-baseline", **CAMPAIGN_KW)
 
 
@@ -227,7 +224,7 @@ class TestScenarios:
 
 
 # ----------------------------------------------------------------------
-# Requests, pool, cache plumbing
+# Requests and cache plumbing
 # ----------------------------------------------------------------------
 class TestRequestsAndCache:
     def _observe_request(self, tag="probe/tag", config=None):
@@ -302,13 +299,6 @@ class TestRequestsAndCache:
         assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
         assert stats.hit_rate == pytest.approx(0.5)
 
-    def test_pool_validation_and_empty_batch(self):
-        with pytest.raises(ServiceError):
-            SimulationPool(max_workers=0)
-        pool = SimulationPool(max_workers=1)
-        assert pool.run([]) == []
-        assert not pool.parallel
-
     def _poisoned_request(self):
         """Valid to construct, fails inside the worker: the scenario drains
         a SKU the fleet does not have."""
@@ -333,13 +323,11 @@ class TestRequestsAndCache:
         """Per-request futures: the whole batch runs to completion, the
         failure is re-raised naming the request with the siblings' outcomes
         attached, and the pool stays usable and deterministic."""
-        from repro.service import SimulationBatchError
-
         siblings = [
             self._observe_request(tag=f"sibling/{i}") for i in range(2)
         ]
         batch = [siblings[0], self._poisoned_request(), siblings[1]]
-        with SimulationPool(max_workers=max_workers) as pool:
+        with ProcessPoolBackend(max_workers=max_workers) as pool:
             with pytest.raises(
                 ServiceError, match=r"tenant='poison', kind='observe'"
             ) as excinfo:
@@ -353,11 +341,10 @@ class TestRequestsAndCache:
             salvaged = [o for o in error.outcomes if o is not None]
             # Every request in the batch was executed (not torn down at the
             # failure), and the pool stays usable: the siblings' outcomes
-            # match a fresh pool's bit for bit.
+            # match a serial run's bit for bit.
             assert pool.executed == len(batch)
             after = pool.run(siblings)
-        with SimulationPool(max_workers=1) as reference_pool:
-            reference = reference_pool.run(siblings)
+        reference = SerialBackend().run(siblings)
         for got, want in zip(after, reference, strict=True):
             assert got.tenant == want.tenant
             assert got.workload_tag == want.workload_tag
@@ -378,7 +365,7 @@ class TestRequestsAndCache:
             decommission_hour=1.0,
         )
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
+            registry, backend=SerialBackend()
         ) as service:
             service.catalog.register(poison)
             healthy = service.launch(
@@ -391,11 +378,11 @@ class TestRequestsAndCache:
             campaigns = {**healthy, **doomed}
             with pytest.raises(ServiceError, match=r"tenant='north'"):
                 service.step(campaigns)
-            executed = service.pool.executed
+            executed = service.backend.executed
             # The healthy tenants' windows were salvaged into the cache:
             # re-running just them simulates nothing new.
             service.step(healthy)
-            assert service.pool.executed == executed
+            assert service.backend.executed == executed
             assert service.cache.stats.hits >= 2
 
 
@@ -443,7 +430,7 @@ class TestCacheSizing:
 
         registry = make_registry()
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), cache_budget_mb=32.0
+            registry, backend=SerialBackend(), cache_budget_mb=32.0
         ) as service:
             assert service.cache.max_entries == derive_cache_entries(
                 registry, budget_mb=32.0
@@ -458,7 +445,7 @@ class TestCacheSizing:
     def test_auto_cache_grows_to_fit_a_bigger_launch(self):
         registry = make_registry()
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), cache_budget_mb=0.25
+            registry, backend=SerialBackend(), cache_budget_mb=0.25
         ) as service:
             floor = len(registry) * 4 * 3
             assert service.cache.max_entries == floor
@@ -469,7 +456,7 @@ class TestCacheSizing:
         # A user-supplied cache is never resized.
         with ContinuousTuningService(
             make_registry(),
-            pool=SimulationPool(max_workers=1),
+            backend=SerialBackend(),
             cache=SimulationCache(max_entries=7),
         ) as service:
             service.launch(scenario="diurnal-baseline", rounds=20)
@@ -649,14 +636,14 @@ class TestEndToEnd:
         assert_fleet_reports_identical(backend_run, serial_run)
 
     def test_cache_absorbs_a_repeated_campaign(self, serial_service, serial_run):
-        executed_before = serial_service.pool.executed
+        executed_before = serial_service.backend.executed
         rerun = serial_service.run_campaigns(
             scenario="diurnal-baseline", **CAMPAIGN_KW
         )
         # Every simulation of the identical campaign is a cache hit, and the
         # report's stats cover this run alone (not lifetime totals).
         assert rerun.simulations_executed == 0
-        assert serial_service.pool.executed == executed_before
+        assert serial_service.backend.executed == executed_before
         assert rerun.cache_stats.hits >= serial_run.simulations_executed
         assert rerun.cache_stats.misses == 0
         for name, report in rerun.reports.items():
@@ -672,7 +659,7 @@ class TestEndToEnd:
         registry = FleetRegistry()
         registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1), guardrails=guardrails
+            registry, backend=SerialBackend(), guardrails=guardrails
         ) as service:
             result = service.run_campaigns(
                 scenario="diurnal-baseline",
@@ -704,7 +691,7 @@ class TestMultiRound:
         registry = FleetRegistry()
         registry.add(TenantSpec(name="west", fleet_spec=small_fleet_spec(), seed=23))
         with ContinuousTuningService(
-            registry, pool=SimulationPool(max_workers=1)
+            registry, backend=SerialBackend()
         ) as service:
             result = service.run_campaigns(
                 scenario="diurnal-baseline", rounds=2, **CAMPAIGN_KW
